@@ -3,8 +3,11 @@
 Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
 Whenever the elimination oracle fits under the size cap, both the formula
 value and the oracle value are reported with a match flag; disagreement is
-an invariant violation and exits 1.  Usage errors (unknown flags, malformed
-graph specs, unreadable files) exit 2.
+an invariant violation and exits 1.  Usage errors (unknown flags, flags the
+verb does not read, malformed graph specs, unreadable files, a non-prime
+--p) exit 2.  Any other exception is an internal fault and exits 3.  An
+operator larger than --max-oracle is never built: its row is marked
+``skipped`` in every verb.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -18,12 +21,13 @@ import csv
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
 from lightsout.game import Graph, GraphParseError
-from lightsout.gfpoly import Poly, check_prime
+from lightsout.gfpoly import Poly, check_prime, shift_one
 
 SCHEMA_VERSION = 1
 
@@ -110,6 +114,20 @@ def _graph(spec: str) -> Graph:
     return game.build_family(spec)
 
 
+def _oracle(A, B, cap: int, compute=None):
+    """compute(A, B) for the A-by-B product operator, or "skipped" over the cap.
+
+    compute defaults to the elimination oracle, formulas.oracle_nullity.
+    Every verb that builds a product operator comes through here, so an
+    operator larger than --max-oracle is skipped the same way everywhere.
+    """
+    if A.rows * B.rows > cap:
+        return "skipped"
+    if compute is None:
+        return formulas.oracle_nullity(A, B, max_dim=cap)
+    return compute(A, B)
+
+
 def _product_row(
     gspec: str,
     hspec: str,
@@ -119,26 +137,26 @@ def _product_row(
     p: int,
     cap: int,
     extra: dict | None = None,
+    charpolys: bool = False,
 ) -> dict:
     """One formula/oracle/bound comparison row for a product operator.
 
     Closed mode shifts the first matrix to A + I; over GF(2) that is exactly
-    the closed-switching matrix of the product graph.
+    the closed-switching matrix of the product graph.  The bound is
+    deg gcd(c_A, c_B) of the two matrices compared, with both characteristic
+    polynomials read off their invariant factors.  With ``charpolys`` the
+    row also carries the open-mode polynomials of both factors:
+    c_A(x) = c_{A+I}(x + 1) over every GF(p).
     """
     A = game.switching_matrix(g, mode, p)
     B = game.switching_matrix(h, "open", p)
     sa = snf.invariant_factors(A)
     sb = snf.invariant_factors(B)
+    ca = snf.charpoly_from_snf(sa, p)
+    cb = snf.charpoly_from_snf(sb, p)
     value = formulas.nullity_snf_product(sa, sb)
-    size = A.rows * B.rows
-
-    ca_open = snf.charpoly_oracle(game.switching_matrix(g, "open", p), p)
-    cb = snf.charpoly_oracle(B, p)
-    if mode == "open" or p == 2:
-        bound = formulas.gcd_lower_bound(ca_open, cb, mode)
-    else:
-        # closed over odd p: x+1 is not the right shift, use c_{A+I} directly
-        bound = formulas.gcd_lower_bound(snf.charpoly_oracle(A, p), cb, "open")
+    bound = formulas.gcd_lower_bound(ca, cb)
+    oracle = _oracle(A, B, cap)
 
     row = dict(extra or {})
     row.update(
@@ -146,20 +164,27 @@ def _product_row(
         h=hspec,
         mode=mode,
         p=p,
-        operator_size=size,
+        operator_size=A.rows * B.rows,
         nullity_formula=value,
         lower_bound=bound,
+        nullity_oracle=oracle,
     )
-    if size <= cap:
-        o = formulas.oracle_nullity(A, B, max_dim=cap)
-        row["nullity_oracle"] = o
-        row["oracle_match"] = "ok" if o == value else "mismatch"
-        row["bound_holds"] = "ok" if bound <= o else "violated"
-    else:
-        row["nullity_oracle"] = "skipped"
+    if oracle == "skipped":
         row["oracle_match"] = "skipped"
         row["bound_holds"] = "ok" if bound <= value else "violated"
+    else:
+        row["oracle_match"] = "ok" if oracle == value else "mismatch"
+        row["bound_holds"] = "ok" if bound <= oracle else "violated"
+    if charpolys:
+        row["charpoly_g"] = str(shift_one(ca) if mode == "closed" else ca)
+        row["charpoly_h"] = str(cb)
     return row
+
+
+def _note_skipped(report: Report, column: str) -> None:
+    skipped = sum(1 for r in report.results if r.get(column) == "skipped")
+    if skipped:
+        report.notes.append(f"{skipped} rows exceeded the oracle cap and were skipped")
 
 
 def _collect_row_violations(row: dict, violations: list[dict]) -> None:
@@ -178,7 +203,7 @@ def _cmd_charpoly(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
     g = _graph(args.g)
     M = game.switching_matrix(g, args.mode, args.p)
-    via_snf = snf.charpoly_from_snf(snf.invariant_factors(M))
+    via_snf = snf.charpoly_from_snf(snf.invariant_factors(M), args.p)
     via_oracle = snf.charpoly_oracle(M, args.p)
     match = via_snf == via_oracle
     report.results.append(
@@ -209,32 +234,25 @@ def _cmd_snf(args) -> tuple[int, Report]:
             "p": args.p,
             "n": g.vertex_count,
             "invariant_factors": str(s),
-            "charpoly": str(snf.charpoly_from_snf(s)),
+            "charpoly": str(snf.charpoly_from_snf(s, args.p)),
         }
     )
     return 0, report
 
 
-def _cmd_nullity(args) -> tuple[int, Report]:
+def _cmd_nullity(args, charpolys: bool = False) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
     g, h = _graph(args.g), _graph(args.h)
-    row = _product_row(args.g, args.h, g, h, args.mode, args.p, args.max_oracle)
+    row = _product_row(
+        args.g, args.h, g, h, args.mode, args.p, args.max_oracle, charpolys=charpolys
+    )
     report.results.append(row)
     _collect_row_violations(row, report.violations)
     return (1 if report.violations else 0), report
 
 
 def _cmd_bound(args) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
-    g, h = _graph(args.g), _graph(args.h)
-    row = _product_row(args.g, args.h, g, h, args.mode, args.p, args.max_oracle)
-    ca = snf.charpoly_oracle(game.switching_matrix(g, "open", args.p), args.p)
-    cb = snf.charpoly_oracle(game.switching_matrix(h, "open", args.p), args.p)
-    row["charpoly_g"] = str(ca)
-    row["charpoly_h"] = str(cb)
-    report.results.append(row)
-    _collect_row_violations(row, report.violations)
-    return (1 if report.violations else 0), report
+    return _cmd_nullity(args, charpolys=True)
 
 
 def _cmd_counts(args) -> tuple[int, Report]:
@@ -271,22 +289,21 @@ def _cmd_solve(args) -> tuple[int, Report]:
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count
-    C = gfmat.PrimeFieldMatrix([[1] * n for _ in range(m)], 2)
-    X = game.sylvester_solve(A, B, C)
-    nu = gfmat.rank_nullity(gfmat.sylvester_operator(A, B)).nullity
-    row = {
-        "g": args.g,
-        "h": args.h,
-        "mode": args.mode,
-        "m": m,
-        "n": n,
-        "config": "all-on",
-        "solvable": "yes" if X is not None else "no",
-        "presses": "/".join(_presses_string(X.row(i)) for i in range(m))
-        if X is not None
-        else "-",
-        "solution_exponent": nu if X is not None else "-",
-    }
+    # all-on; with no rows, only zeros(0, n) keeps the n columns
+    C = gfmat.PrimeFieldMatrix([[1] * n] * m, 2) if m else gfmat.PrimeFieldMatrix.zeros(0, n, 2)
+    solved = _oracle(A, B, args.max_oracle, lambda A, B: game.sylvester_solve(A, B, C))
+    row = {"g": args.g, "h": args.h, "mode": args.mode, "m": m, "n": n, "config": "all-on"}
+    if solved == "skipped":
+        row.update(solvable="skipped", presses="skipped", solution_exponent="skipped")
+    else:
+        X, nu = solved
+        row.update(
+            solvable="yes" if X is not None else "no",
+            presses="/".join(_presses_string(X.row(i)) for i in range(m))
+            if X is not None
+            else "-",
+            solution_exponent=nu if X is not None else "-",
+        )
     report.results.append(row)
     return 0, report
 
@@ -340,48 +357,31 @@ def _sweep_pairs(target: str, seed: int):
         )
 
 
-def _cmd_sweep(args) -> tuple[int, Report]:
-    randomized = args.target.partition(":")[0] == "random"
-    report = Report(
-        command=args.command_echo, seed=args.seed if randomized else None
-    )
-    for gspec, hspec, g, h, extra in _sweep_pairs(args.target, args.seed):
+def _sweep(args, mode: str, p: int, target: str) -> tuple[int, Report]:
+    randomized = target.partition(":")[0] == "random"
+    report = Report(command=args.command_echo, seed=args.seed if randomized else None)
+    for gspec, hspec, g, h, extra in _sweep_pairs(target, args.seed):
         if randomized:
             extra = {**extra, "seed": args.seed}
-        row = _product_row(gspec, hspec, g, h, args.mode, args.p, args.max_oracle, extra)
+        row = _product_row(gspec, hspec, g, h, mode, p, args.max_oracle, extra)
         report.results.append(row)
         _collect_row_violations(row, report.violations)
-    skipped = sum(1 for r in report.results if r.get("oracle_match") == "skipped")
-    if skipped:
-        report.notes.append(f"{skipped} rows exceeded the oracle cap and were skipped")
+    _note_skipped(report, "oracle_match")
     return (1 if report.violations else 0), report
 
 
+def _cmd_sweep(args) -> tuple[int, Report]:
+    return _sweep(args, args.mode, args.p, args.target)
+
+
 def _verify_conjecture(args, mode: str) -> tuple[int, Report]:
-    report = Report(command=args.command_echo, seed=args.seed)
-    rng = random.Random(args.seed)
-    for i in range(RANDOM_PAIR_COUNT):
-        n = rng.randint(1, RANDOM_MAX_VERTICES)
-        m = rng.randint(1, RANDOM_MAX_VERTICES)
-        g = game.random_graph(n, rng)
-        h = game.random_graph(m, rng)
-        row = _product_row(
-            f"random[{i}].g(n={n})",
-            f"random[{i}].h(n={m})",
-            g,
-            h,
-            mode,
-            2,
-            args.max_oracle,
-            {"pair": i, "seed": args.seed},
-        )
-        report.results.append(row)
-        _collect_row_violations(row, report.violations)
+    """The random sweep over GF(2), plus how often the bound held."""
+    code, report = _sweep(args, mode, 2, "random")
     ok = sum(1 for r in report.results if r["bound_holds"] == "ok")
     report.notes.append(
         f"bound held on {ok}/{len(report.results)} pairs in {mode} mode"
     )
-    return (1 if report.violations else 0), report
+    return code, report
 
 
 def _random_partition(rng: random.Random, total: int) -> tuple[int, ...]:
@@ -472,7 +472,7 @@ def _verify_example_star_path(args) -> tuple[int, Report]:
             path = game.path_graph(m)
             a_path = game.switching_matrix(path, "open")
             value = formulas.nullity_path_product(m, s_star)
-            oracle = formulas.oracle_nullity(a_star, a_path, max_dim=args.max_oracle)
+            oracle = _oracle(a_star, a_path, args.max_oracle)
             nu_nullity = gfmat.rank_nullity(a_path).nullity
             nu_mult = _x_multiplicity(snf.charpoly_oracle(a_path, 2))
             row = {
@@ -486,36 +486,32 @@ def _verify_example_star_path(args) -> tuple[int, Report]:
                 "multiplicity_swapped": _piecewise_star_path(n, nu_mult),
             }
             report.results.append(row)
-            if oracle != value:
+            if oracle not in ("skipped", value):
                 report.violations.append(dict(row))
+    checked = [row for row in report.results if row["oracle"] != "skipped"]
     matching = [
-        name
-        for name in readings
-        if all(row[name] == row["oracle"] for row in report.results)
+        name for name in readings if all(row[name] == row["oracle"] for row in checked)
     ]
-    if matching:
+    if checked:
         report.notes.append(
             "oracle agrees with reading(s): " + ", ".join(matching)
+            if matching
+            else "oracle agrees with none of the four readings"
         )
-    else:
-        report.notes.append("oracle agrees with none of the four readings")
     for name in readings:
-        misses = sum(1 for row in report.results if row[name] != row["oracle"])
+        misses = sum(1 for row in checked if row[name] != row["oracle"])
         report.notes.append(f"reading {name}: {misses} mismatched rows")
+    _note_skipped(report, "oracle")
     return (1 if report.violations else 0), report
 
 
 def _cmd_verify(args) -> tuple[int, Report]:
-    target = args.target
-    if target == "conjecture-open":
-        return _verify_conjecture(args, "open")
-    if target == "conjecture-closed":
-        return _verify_conjecture(args, "closed")
-    if target == "lemma":
+    kind, _, mode = args.target.partition("-")
+    if kind == "conjecture":
+        return _verify_conjecture(args, mode)
+    if kind == "lemma":
         return _verify_lemma(args)
-    if target == "example2":
-        return _verify_example_star_path(args)
-    raise GraphParseError(f"unknown verify target {target!r}")
+    return _verify_example_star_path(args)
 
 
 _HANDLERS = {
@@ -530,6 +526,20 @@ _HANDLERS = {
 }
 
 
+#: Options shared by several verbs; each verb takes only the ones it reads.
+_OPTIONS = {
+    "--mode": dict(choices=("open", "closed"), default="open"),
+    "--p": dict(type=int, default=2, metavar="PRIME"),
+    "--seed": dict(type=int, default=1, metavar="N"),
+    "--max-oracle": dict(
+        type=int,
+        default=formulas.ORACLE_SIZE_CAP,
+        metavar="N",
+        help="largest operator size the elimination oracle will attempt",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False keeps a mistyped --h (on verbs without it) from
     # silently matching --help
@@ -541,47 +551,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, p_flag=True):
-        sp.add_argument("--mode", choices=("open", "closed"), default="open")
-        if p_flag:
-            sp.add_argument("--p", type=int, default=2, metavar="PRIME")
+    def common(sp, *options):
+        for name in options:
+            sp.add_argument(name, **_OPTIONS[name])
         sp.add_argument("--json", action="store_true", help="emit the JSON report")
         sp.add_argument("--csv", metavar="PATH", help="also write the results as CSV")
-        sp.add_argument("--seed", type=int, default=1, metavar="N")
-        sp.add_argument(
-            "--max-oracle",
-            type=int,
-            default=formulas.ORACLE_SIZE_CAP,
-            metavar="N",
-            help="largest operator size the elimination oracle will attempt",
-        )
 
     sp = sub.add_parser("charpoly", allow_abbrev=False, help="characteristic polynomial, two routes")
     sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp)
+    common(sp, "--mode", "--p")
 
     sp = sub.add_parser("snf", allow_abbrev=False, help="invariant factors of xI - A")
     sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp)
+    common(sp, "--mode", "--p")
 
     sp = sub.add_parser("nullity", allow_abbrev=False, help="product-operator nullity, formula vs oracle")
     sp.add_argument("--g", required=True, metavar="SPEC")
     sp.add_argument("--h", required=True, metavar="SPEC")
-    common(sp)
+    common(sp, "--mode", "--p", "--max-oracle")
 
     sp = sub.add_parser("bound", allow_abbrev=False, help="gcd-degree lower bound for a product pair")
     sp.add_argument("--g", required=True, metavar="SPEC")
     sp.add_argument("--h", required=True, metavar="SPEC")
-    common(sp)
+    common(sp, "--mode", "--p", "--max-oracle")
 
     sp = sub.add_parser("solve", allow_abbrev=False, help="press sets for the all-on configuration")
     sp.add_argument("--g", required=True, metavar="SPEC")
     sp.add_argument("--h", metavar="SPEC", help="optional second factor (product game)")
-    common(sp, p_flag=False)
+    common(sp, "--mode", "--max-oracle")
 
     sp = sub.add_parser("counts", allow_abbrev=False, help="rank/nullity exponents of the switching matrix")
     sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp, p_flag=False)
+    common(sp, "--mode")
 
     sp = sub.add_parser("sweep", allow_abbrev=False, help="formula/oracle/bound table over a family")
     sp.add_argument(
@@ -589,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         help="stars[:LO-HI], paths[:LO-HI], cycles[:LO-HI] or random[:COUNT]",
     )
-    common(sp)
+    common(sp, "--mode", "--p", "--seed", "--max-oracle")
 
     sp = sub.add_parser("verify", allow_abbrev=False, help="run one of the verification suites")
     sp.add_argument(
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         choices=("conjecture-open", "conjecture-closed", "lemma", "example2"),
     )
-    common(sp)
+    common(sp, "--seed", "--max-oracle")
 
     return parser
 
@@ -605,8 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> tuple[int, Report | None]:
     """Execute a command line; returns (exit code, report).
 
-    Exit codes: 0 success, 1 violated invariant (formula/oracle mismatch or
-    bound violation), 2 usage error.
+    Exit codes: 0 success; 1 violated invariant (formula/oracle mismatch or
+    bound violation); 2 usage error (bad flags, a malformed graph spec or
+    graph file, a --p that is not prime); 3 internal fault (any other
+    exception, reported on stderr as ``error: internal ...`` and its
+    traceback).  The report is None when no handler ran to the end.
     """
     parser = build_parser()
     try:
@@ -623,9 +627,13 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
             return 2, None
     try:
         code, report = _HANDLERS[args.verb](args)
-    except (GraphParseError, ValueError) as exc:
+    except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except Exception as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3, None
     _emit(report, args)
     return code, report
 

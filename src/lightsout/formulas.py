@@ -10,7 +10,6 @@ against).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from lightsout import gfmat
@@ -22,40 +21,6 @@ from lightsout.snf import FactorData, SnfResult, charpoly_oracle
 ORACLE_SIZE_CAP = 4096
 
 MODES = ("open", "closed")
-
-REPORT_METHODS = frozenset(
-    {
-        "theorem_sum",
-        "snf_product",
-        "snf_self",
-        "snf_path",
-        "oracle",
-        "lower_bound_open",
-        "lower_bound_closed",
-    }
-)
-
-
-@dataclass(frozen=True)
-class NullityReport:
-    """A single computed nullity (or bound) with its provenance."""
-
-    method: str
-    value: int
-    inputs: str
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.method not in REPORT_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.value < 0:
-            raise ValueError("nullity values are nonnegative")
-
-    def to_dict(self) -> dict:
-        d = {"method": self.method, "value": self.value, "inputs": self.inputs}
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
 
 
 def check_mode(mode: str) -> str:

@@ -215,11 +215,16 @@ def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
     return smith_normal_form(char_matrix(A))
 
 
-def charpoly_from_snf(s: SnfResult) -> Poly:
-    """Characteristic polynomial as the product of the invariant factors."""
-    if not s.invariant_factors:
-        raise ValueError("empty invariant factor list has no field")
-    return prod(s.invariant_factors, s.field)
+def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
+    """Characteristic polynomial as the product of the invariant factors.
+
+    The factors carry their field; ``p`` names it for an empty list (a
+    0-vertex graph), whose product is 1.
+    """
+    field = s.field or p
+    if field is None:
+        raise ValueError("empty invariant factor list has no field; pass p")
+    return prod(s.invariant_factors, field)
 
 
 def charpoly_oracle(A, p: int) -> Poly:

@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import pytest
 
-from lightsout import cli, formulas
+import lightsout
+from lightsout import cli, formulas, game, gfmat, snf
 
 
 SCHEMA = json.load(open("docs/report_schema.json", encoding="utf-8"))
@@ -60,6 +66,26 @@ class TestExitCodes:
         assert code == 1
         assert report.violations
 
+    def test_flag_the_verb_does_not_read_is_usage_error(self, capsys):
+        for argv in (
+            ["verify", "conjecture-open", "--p", "3"],
+            ["verify", "conjecture-open", "--mode", "closed"],
+            ["counts", "--g", "path:3", "--seed", "2"],
+            ["snf", "--g", "path:3", "--max-oracle", "9"],
+        ):
+            code, report = cli.run(argv)
+            assert (code, report) == (2, None), argv
+        assert "--p" in capsys.readouterr().err
+
+    def test_internal_fault_exits_three(self, capsys, monkeypatch):
+        def broken(A):
+            raise ValueError("simulated fault")
+
+        monkeypatch.setattr(snf, "invariant_factors", broken)
+        code, report = cli.run(["nullity", "--g", "path:2", "--h", "path:2"])
+        assert (code, report) == (3, None)
+        assert "error: internal ValueError: simulated fault" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         code, _ = cli.run(["--help"])
         capsys.readouterr()
@@ -108,6 +134,32 @@ class TestCommands:
         assert row["lower_bound"] == 2
         assert row["bound_holds"] == "ok"
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_bound_closed_reports_open_charpolys(self, p, capsys):
+        code, _, payload = run_json(
+            ["bound", "--g", "cycle:6", "--h", "path:4", "--mode", "closed", "--p", str(p)],
+            capsys,
+        )
+        assert code == 0
+        row = payload["results"][0]
+        for column, spec in (("charpoly_g", "cycle:6"), ("charpoly_h", "path:4")):
+            A = game.switching_matrix(game.build_family(spec), "open", p)
+            assert row[column] == str(snf.charpoly_oracle(A, p))
+
+    def test_zero_vertex_graph(self, tmp_path, capsys):
+        spec = f"file:{tmp_path / 'empty.txt'}"
+        (tmp_path / "empty.txt").write_text("0\n")
+        code, _, payload = run_json(["charpoly", "--g", spec], capsys)
+        assert code == 0
+        row = payload["results"][0]
+        assert row["charpoly_snf"] == row["charpoly_oracle"] == "1"
+        for verb in ("nullity", "bound"):
+            code, _, payload = run_json([verb, "--g", spec, "--h", "path:3"], capsys)
+            assert code == 0
+            row = payload["results"][0]
+            assert (row["nullity_formula"], row["nullity_oracle"]) == (0, 0)
+        assert row["charpoly_g"] == "1"
+
     def test_solve_single_graph(self, capsys):
         code, _, payload = run_json(
             ["solve", "--g", "grid:5x5", "--mode", "closed"], capsys
@@ -132,6 +184,18 @@ class TestCommands:
         code, _, payload = run_json(["solve", "--g", "path:1"], capsys)
         assert code == 0
         assert payload["results"][0]["solvable"] == "no"
+
+    def test_solve_product_over_cap_is_skipped_unbuilt(self, capsys, monkeypatch):
+        def unbuildable(A, B):
+            raise AssertionError("operator built over the cap")
+
+        monkeypatch.setattr(gfmat, "sylvester_operator", unbuildable)
+        code, _, payload = run_json(
+            ["solve", "--g", "path:3", "--h", "path:3", "--max-oracle", "4"], capsys
+        )
+        assert code == 0
+        row = payload["results"][0]
+        assert row["solvable"] == row["presses"] == row["solution_exponent"] == "skipped"
 
     def test_nullity_gf3(self, capsys):
         code, _, payload = run_json(
@@ -212,6 +276,26 @@ class TestVerify:
         assert code == 0
         assert payload["violations"] == []
 
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_conjecture_rows_are_the_random_sweep(self, mode, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RANDOM_PAIR_COUNT", 15)
+        _, _, verify = run_json(["verify", f"conjecture-{mode}", "--seed", "5"], capsys)
+        _, _, sweep = run_json(["sweep", "random", "--mode", mode, "--seed", "5"], capsys)
+        assert verify["seed"] == sweep["seed"] == 5
+        assert verify["results"] == sweep["results"]
+        assert len(verify["results"]) == 15
+
+    def test_example2_over_cap_rows_are_skipped(self, capsys):
+        code, _, payload = run_json(["verify", "example2", "--max-oracle", "10"], capsys)
+        assert code == 0
+        rows = payload["results"]
+        checked = [row for row in rows if row["oracle"] != "skipped"]
+        assert all(row["n"] * row["m"] <= 10 for row in checked)
+        assert len(checked) == 7
+        assert all(row["oracle"] == row["formula"] for row in checked)
+        assert any("agrees with reading(s)" in note for note in payload["notes"])
+        assert "29 rows exceeded the oracle cap and were skipped" in payload["notes"]
+
     def test_example2_table(self, capsys):
         code, _, payload = run_json(["verify", "example2"], capsys)
         assert code == 0
@@ -252,6 +336,17 @@ class TestOutputs:
         assert code == 0
         assert "invariant_factors" in out
         assert "1, 1, x, x, x^3" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(lightsout.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "lightsout", "counts", "--g", "path:3"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0
+        assert "2^2 solvable configurations" in done.stdout
 
     def test_command_echo_reproduces(self, capsys):
         _, report, payload = run_json(["counts", "--g", "path:4"], capsys)

@@ -7,7 +7,6 @@ import pytest
 from helpers import random_matrix01
 from lightsout import formulas, game, gfmat, snf
 from lightsout.formulas import (
-    NullityReport,
     gcd_lower_bound,
     nullity_from_factor_data,
     nullity_path_product,
@@ -247,34 +246,3 @@ class TestFormulaOracleAgreement:
             assert gcd_lower_bound(ca, cb, "open") <= oracle_nullity(A, B)
             closed_first = A + PrimeFieldMatrix.identity(A.rows, 2)
             assert gcd_lower_bound(ca, cb, "closed") <= oracle_nullity(closed_first, B)
-
-
-class TestNullityReport:
-    def test_serializes_to_cli_result_row_schema(self):
-        import json
-
-        import jsonschema
-
-        schema = json.load(open("docs/report_schema.json", encoding="utf-8"))
-        row_schema = schema["properties"]["results"]["items"]
-        for rep in (
-            NullityReport("oracle", 42, "petersen x petersen"),
-            NullityReport("lower_bound_closed", 0, "pair 3", seed=11),
-        ):
-            jsonschema.validate(rep.to_dict(), row_schema)
-
-    def test_round_trip_fields(self):
-        rep = NullityReport(method="oracle", value=42, inputs="petersen x petersen")
-        assert rep.to_dict() == {
-            "method": "oracle",
-            "value": 42,
-            "inputs": "petersen x petersen",
-        }
-        seeded = NullityReport("snf_product", 3, "pair 7", seed=1)
-        assert seeded.to_dict()["seed"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NullityReport(method="guesswork", value=1, inputs="")
-        with pytest.raises(ValueError):
-            NullityReport(method="oracle", value=-1, inputs="")

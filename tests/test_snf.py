@@ -170,6 +170,11 @@ class TestCharpolyRoutes:
             snf.SnfResult((Poly.one(2), P("x^2 + 1")))
         ) == P("x^2 + 1")
         assert snf.charpoly_from_snf(snf.SnfResult((P("x"), P("x")))) == P("x^2")
+        # a 0x0 matrix has no invariant factors; its field comes from p
+        empty = snf.invariant_factors(PrimeFieldMatrix([], 3))
+        assert snf.charpoly_from_snf(empty, 3) == Poly.one(3)
+        with pytest.raises(ValueError):
+            snf.charpoly_from_snf(empty)
 
     def test_known_closed_forms(self):
         # complete graph K_n: det(xI - A) = (x - (n-1)) (x + 1)^(n-1)
