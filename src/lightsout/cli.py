@@ -291,7 +291,12 @@ def _cmd_solve(args) -> tuple[int, Report]:
     m, n = g.vertex_count, h.vertex_count
     # all-on; with no rows, only zeros(0, n) keeps the n columns
     C = gfmat.PrimeFieldMatrix([[1] * n] * m, 2) if m else gfmat.PrimeFieldMatrix.zeros(0, n, 2)
-    solved = _oracle(A, B, args.max_oracle, lambda A, B: game.sylvester_solve(A, B, C))
+
+    def solve_and_nullity(A, B):
+        nu = gfmat.rank_nullity(gfmat.sylvester_operator(A, B)).nullity
+        return game.sylvester_solve(A, B, C), nu
+
+    solved = _oracle(A, B, args.max_oracle, solve_and_nullity)
     row = {"g": args.g, "h": args.h, "mode": args.mode, "m": m, "n": n, "config": "all-on"}
     if solved == "skipped":
         row.update(solvable="skipped", presses="skipped", solution_exponent="skipped")

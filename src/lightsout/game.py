@@ -271,13 +271,13 @@ class PressSolution:
 def is_solvable(inst: LightsInstance) -> bool:
     """Whether the configuration can be switched to all-off."""
     M = switching_matrix(inst.graph, inst.mode)
-    return gfmat.solve(M, inst.config)[0] is not None
+    return gfmat.solve(M, inst.config) is not None
 
 
 def solve_presses(inst: LightsInstance) -> PressSolution | None:
     """A press set turning the lights off, with the kernel basis; None if unsolvable."""
     M = switching_matrix(inst.graph, inst.mode)
-    x, _ = gfmat.solve(M, inst.config)
+    x = gfmat.solve(M, inst.config)
     if x is None:
         return None
     return PressSolution(presses=x, kernel=tuple(gfmat.kernel_basis(M)))
@@ -291,12 +291,11 @@ def count_exponents(g: Graph, mode: str = "open") -> tuple[int, int]:
 
 def sylvester_solve(
     A: PrimeFieldMatrix, B: PrimeFieldMatrix, C: PrimeFieldMatrix
-) -> tuple[PrimeFieldMatrix | None, int]:
+) -> PrimeFieldMatrix | None:
     """Solve AX - XB = C by vectorizing against the product operator.
 
-    Returns one solution X (m x n), or None when the configuration is not
-    reachable, together with the operator's nullity: the solutions, when
-    there are any, form a coset of that dimension.
+    Returns one solution X (m x n) or None when the configuration is not
+    reachable.
     """
     if not A.is_square or not B.is_square:
         raise ValueError("Sylvester solve requires square A and B")
@@ -309,8 +308,8 @@ def sylvester_solve(
         )
     op = gfmat.sylvester_operator(A, B)
     vec = [C[i, j] for j in range(n) for i in range(m)]
-    x, profile = gfmat.solve(op, vec)
+    x = gfmat.solve(op, vec)
     if x is None:
-        return None, profile.nullity
+        return None
     entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
-    return PrimeFieldMatrix(entries, A.p), profile.nullity
+    return PrimeFieldMatrix(entries, A.p)

@@ -264,15 +264,8 @@ def rank_nullity(M: PrimeFieldMatrix) -> RankProfile:
     return _profile(M, pivots)
 
 
-def solve(
-    M: PrimeFieldMatrix, b: Sequence[int]
-) -> tuple[tuple[int, ...] | None, RankProfile]:
-    """One solution of Mx = b (None when b is outside the column space), and
-    M's rank profile.
-
-    Both come from one reduction of the augmented matrix [M | b]: its pivots
-    left of the last column are M's own.
-    """
+def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One solution of Mx = b, or None when b is outside the column space."""
     if len(b) != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows} rows vs {len(b)} entries")
     p = M.p
@@ -284,11 +277,11 @@ def solve(
         aug = [M._data[i] + [bv[i]] for i in range(M.rows)]
         data, pivots = _echelon_modp(aug, M.cols + 1, p, reduced=True)
     if pivots and pivots[-1] == M.cols:
-        return None, _profile(M, pivots[:-1])
+        return None
     x = [0] * M.cols
     for k, c in enumerate(pivots):
         x[c] = (data[k] >> M.cols) & 1 if p == 2 else data[k][M.cols]
-    return tuple(x), _profile(M, pivots)
+    return tuple(x)
 
 
 def kernel_basis(M: PrimeFieldMatrix) -> list[tuple[int, ...]]:

@@ -150,20 +150,16 @@ class TestRref:
 
 class TestSolve:
     def test_press_middle_vertex(self):
-        x, profile = gfmat.solve(P3, (1, 0, 1))
-        assert x == (0, 1, 0)
-        assert profile == gfmat.rank_nullity(P3)
+        assert gfmat.solve(P3, (1, 0, 1)) == (0, 1, 0)
 
     def test_inconsistent_system(self):
-        x, profile = gfmat.solve(P3, (1, 0, 0))
-        assert x is None
-        assert profile == gfmat.rank_nullity(P3)
+        assert gfmat.solve(P3, (1, 0, 0)) is None
 
     def test_zero_rhs_always_solvable(self):
         rng = random.Random(17)
         for p in (2, 3):
             M = PrimeFieldMatrix(random_modp_matrix(4, 5, p, rng), p)
-            x, _ = gfmat.solve(M, [0] * 4)
+            x = gfmat.solve(M, [0] * 4)
             assert x is not None and M.mul_vec(x) == (0,) * 4
 
     def test_dimension_mismatch(self):
@@ -177,8 +173,7 @@ class TestSolve:
                 rows, cols = rng.randint(1, 6), rng.randint(1, 6)
                 M = PrimeFieldMatrix(random_modp_matrix(rows, cols, p, rng), p)
                 b = [rng.randrange(p) for _ in range(rows)]
-                x, profile = gfmat.solve(M, b)
-                assert profile == gfmat.rank_nullity(M)
+                x = gfmat.solve(M, b)
                 if x is not None:
                     assert M.mul_vec(x) == tuple(v % p for v in b)
                 else:
@@ -196,7 +191,7 @@ class TestSolve:
                 M = PrimeFieldMatrix(random_modp_matrix(3, 3, p, rng), p)
                 b = [rng.randrange(p) for _ in range(3)]
                 everything = brute_force_solutions(M, b)
-                x, _ = gfmat.solve(M, b)
+                x = gfmat.solve(M, b)
                 if everything:
                     assert x in everything
                 else:
