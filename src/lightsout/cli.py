@@ -5,9 +5,9 @@ Whenever the elimination oracle fits under the size cap, both the formula
 value and the oracle value are reported with a match flag; disagreement is
 an invariant violation and exits 1.  Usage errors (unknown flags, flags the
 verb does not read, malformed graph specs, unreadable files, a non-prime
---p) exit 2.  Any other exception is an internal fault and exits 3.  An
-operator larger than --max-oracle is never built: its row is marked
-``skipped`` in every verb.
+--p, a negative --max-oracle, an unwritable --csv path) exit 2.  Any other
+exception is an internal fault and exits 3.  An operator larger than
+--max-oracle is never built: its row is marked ``skipped`` in every verb.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -88,9 +88,6 @@ def _emit(report: Report, args) -> None:
             print(f"note: {note}")
         for v in report.violations:
             print(f"violation: {v}")
-    path = getattr(args, "csv", None)
-    if path:
-        _write_csv(path, report.results)
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -531,13 +528,24 @@ _HANDLERS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a size: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 #: Options shared by several verbs; each verb takes only the ones it reads.
 _OPTIONS = {
     "--mode": dict(choices=("open", "closed"), default="open"),
     "--p": dict(type=int, default=2, metavar="PRIME"),
     "--seed": dict(type=int, default=1, metavar="N"),
     "--max-oracle": dict(
-        type=int,
+        type=_nonnegative_int,
         default=formulas.ORACLE_SIZE_CAP,
         metavar="N",
         help="largest operator size the elimination oracle will attempt",
@@ -613,13 +621,13 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
 
     Exit codes: 0 success; 1 violated invariant (formula/oracle mismatch or
     bound violation); 2 usage error (bad flags, a malformed graph spec or
-    graph file, a --p that is not prime); 3 internal fault (any other
+    graph file, a --p that is not prime, a negative --max-oracle, an
+    unwritable --csv path); 3 internal fault (any other
     exception, reported on stderr as ``error: internal ...`` and its
     traceback).  The report is None when no handler ran to the end.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code, None
@@ -640,6 +648,13 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
         traceback.print_exc()
         return 3, None
     _emit(report, args)
+    if getattr(args, "csv", None):
+        try:
+            _write_csv(args.csv, report.results)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.csv}: {reason}", file=sys.stderr)
+            return 2, report
     return code, report
 
 

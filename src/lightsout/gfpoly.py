@@ -122,10 +122,6 @@ class Poly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def lead(self) -> int:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.coeffs[-1] if self.coeffs else 0
@@ -310,12 +306,6 @@ class Factorization:
         for q, e in self.factors:
             acc = acc * q**e
         return acc
-
-    def exponent_of(self, q: Poly) -> int:
-        for base, e in self.factors:
-            if base == q:
-                return e
-        return 0
 
     def __str__(self) -> str:
         if not self.factors:

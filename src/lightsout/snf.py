@@ -1,11 +1,13 @@
 """Smith normal form of characteristic matrices over GF(p)[x].
 
-The reduction works on square matrices of polynomials and produces the
-ordered invariant factors s_1 | s_2 | ... | s_m, each monic.  Two
-independent routes to the characteristic polynomial are provided: the
-product of the invariant factors, and a division-free (Berkowitz) expansion
-over the integers reduced mod p.  They must agree; the test suite leans on
-that cross-check heavily.
+Matrices are plain rows of Poly: ``char_matrix`` returns the rows of
+xI - A, and ``smith_normal_form`` takes any square list of rows.  The
+reduction diagonalizes by Euclidean division, then turns the diagonal into
+the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by gcd/lcm
+exchanges.  Two independent routes to the characteristic polynomial are
+provided: the product of the invariant factors, and a division-free
+(Berkowitz) expansion over the integers reduced mod p.  They must agree;
+the test suite leans on that cross-check heavily.
 """
 
 from __future__ import annotations
@@ -14,47 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_key, prod
-
-
-class PolyMatrix:
-    """Square-or-rectangular matrix of Poly entries sharing one field."""
-
-    __slots__ = ("rows", "cols", "p", "_data")
-
-    def __init__(self, entries: Sequence[Sequence[Poly]], p: int):
-        check_prime(p)
-        mat = [list(row) for row in entries]
-        rows = len(mat)
-        cols = len(mat[0]) if mat else 0
-        for row in mat:
-            if len(row) != cols:
-                raise ValueError("all rows must have the same length")
-            for e in row:
-                if not isinstance(e, Poly) or e.p != p:
-                    raise ValueError(f"entries must be Poly over GF({p})")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_data", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __getitem__(self, ij: tuple[int, int]) -> Poly:
-        i, j = ij
-        return self._data[i][j]
-
-    def to_lists(self) -> list[list[Poly]]:
-        return [list(row) for row in self._data]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.p == other.p and self._data == other._data
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows}x{self.cols} over GF({self.p})[x])"
+from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_gcd, poly_key, prod
 
 
 @dataclass(frozen=True)
@@ -101,113 +63,80 @@ class FactorData:
         )
 
 
-def char_matrix(A: PrimeFieldMatrix) -> PolyMatrix:
-    """The characteristic matrix xI - A over GF(p)[x]."""
+def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
+    """The rows of the characteristic matrix xI - A over GF(p)[x]."""
     if not A.is_square:
         raise ValueError("characteristic matrix requires a square matrix")
     p = A.p
     n = A.rows
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a = A[i, j]
-            if i == j:
-                row.append(Poly(((-a) % p, 1), p))
-            else:
-                row.append(Poly.constant((-a) % p, p))
-        entries.append(row)
-    return PolyMatrix(entries, p)
+    return [
+        [Poly((-A[i, j], 1) if i == j else (-A[i, j],), p) for j in range(n)]
+        for i in range(n)
+    ]
 
 
-def _move_min_pivot(a: list[list[Poly]], k: int, n: int) -> bool:
-    """Swap a minimum-degree nonzero entry of a[k:, k:] into position (k, k).
+def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
+    """Invariant factors of a square polynomial matrix, given as rows.
 
-    Ties break on the smallest (row, column) pair.  Returns False when the
-    submatrix is entirely zero.
-    """
-    best = None
-    best_deg = -1
-    for i in range(k, n):
-        for j in range(k, n):
-            e = a[i][j]
-            if e.is_zero:
-                continue
-            if best is None or e.degree < best_deg:
-                best = (i, j)
-                best_deg = e.degree
-    if best is None:
-        return False
-    bi, bj = best
-    if bi != k:
-        a[k], a[bi] = a[bi], a[k]
-    if bj != k:
-        for row in a:
-            row[k], row[bj] = row[bj], row[k]
-    return True
-
-
-def smith_normal_form(M: PolyMatrix) -> SnfResult:
-    """Diagonalize a square polynomial matrix into its invariant factors.
-
-    Classic reduction: pull a minimum-degree entry to the pivot, clear its
-    row and column by Euclidean division (remainders strictly drop the
-    minimum degree, so this terminates), then fold any submatrix entry not
-    divisible by the pivot into the pivot row and repeat.  Diagonal entries
-    are normalized monic at the end.
+    Phase 1 diagonalizes: move a minimum-degree entry of the trailing
+    submatrix to the pivot and clear its row and column by Euclidean
+    division; a nonzero remainder has lower degree than the pivot and
+    becomes the next pivot, so this terminates.  Phase 2 fixes the
+    divisibility chain on the diagonal alone, since diag(a, b) is
+    equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
+    monic at the end.
 
     Raises ValueError for non-square input or a singular matrix (a diagonal
     entry would be zero); xI - A is never singular.
     """
-    if M.rows != M.cols:
+    a = [list(row) for row in M]
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("Smith normal form is implemented for square matrices")
-    n = M.rows
-    a = M.to_lists()
-    diagonal: list[Poly] = []
-    for k in range(n):
-        if not _move_min_pivot(a, k, n):
-            raise ValueError(
-                f"zero determinant: diagonal entry {k+1} of {n} would vanish"
-            )
+    for k in range(n):  # phase 1: diagonalize
         while True:
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if a[i][k].is_zero:
-                    continue
-                q = a[i][k] // pivot
-                if not q.is_zero:
-                    arow, krow = a[i], a[k]
-                    for j in range(k, n):
-                        arow[j] = arow[j] - q * krow[j]
-                if not a[i][k].is_zero:
-                    dirty = True
-            for j in range(k + 1, n):
-                if a[k][j].is_zero:
-                    continue
-                q = a[k][j] // pivot
-                if not q.is_zero:
-                    for i in range(k, n):
-                        a[i][j] = a[i][j] - q * a[i][k]
-                if not a[k][j].is_zero:
-                    dirty = True
-            if dirty:
-                _move_min_pivot(a, k, n)
-                continue
-            offender = None
-            for i in range(k + 1, n):
-                row = a[i]
-                if any(not (row[j] % pivot).is_zero for j in range(k + 1, n)):
-                    offender = i
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    size = len(a[i][j].coeffs)
+                    if size and (best is None or size < best[0]):
+                        best = (size, i, j)
+                if best and best[0] == 1:
                     break
-            if offender is None:
-                break
-            orow = a[offender]
+            if best is None:
+                raise ValueError(
+                    f"zero determinant: diagonal entry {k+1} of {n} would vanish"
+                )
+            _, bi, bj = best
+            a[k], a[bi] = a[bi], a[k]
+            for row in a[k:]:
+                row[k], row[bj] = row[bj], row[k]
             krow = a[k]
-            for j in range(k, n):
-                krow[j] = krow[j] + orow[j]
-        diagonal.append(a[k][k].monic())
-    return SnfResult(tuple(diagonal))
+            pivot = krow[k]
+            for row in a[k + 1 :]:
+                if row[k]:
+                    q = row[k] // pivot
+                    for j in range(k, n):
+                        if krow[j]:
+                            row[j] = row[j] - q * krow[j]
+            for j in range(k + 1, n):
+                if krow[j]:
+                    q = krow[j] // pivot
+                    for row in a[k:]:
+                        if row[k]:
+                            row[j] = row[j] - q * row[k]
+            if not any(krow[k + 1 :]) and not any(row[k] for row in a[k + 1 :]):
+                break
+    d = [a[k][k] for k in range(n)]
+    for i in range(n):  # phase 2: a unit d[i] already divides the rest
+        for j in range(i + 1, n):
+            if d[i].degree == 0:
+                break
+            g = poly_gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    # from a list: tuple() of a generator allocates a 10-slot tuple and resizes
+    # it, which parks memory on the interpreter's tuple free lists every call
+    return SnfResult(tuple([f.monic() for f in d]))
 
 
 def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:

@@ -59,6 +59,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_negative_max_oracle_is_usage_error(self, capsys):
+        argv = ["nullity", "--g", "path:3", "--h", "path:3", "--max-oracle"]
+        assert cli.run(argv + ["-5"]) == (2, None)
+        assert "--max-oracle" in capsys.readouterr().err
+        code, report = cli.run(argv + ["0"])
+        capsys.readouterr()
+        assert code == 0
+        assert report.results[0]["nullity_oracle"] == "skipped"
+
+    def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "t.csv"
+        code, _ = cli.run(["snf", "--g", "path:3", "--csv", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
     def test_formula_oracle_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(formulas, "oracle_nullity", lambda *a, **k: 999)
         code, report = cli.run(["nullity", "--g", "path:2", "--h", "path:2"])

@@ -7,7 +7,13 @@ import pytest
 
 from helpers import poly_det_cofactor, random_symmetric01
 from lightsout import gfmat, snf
-from lightsout.game import path_graph, petersen_graph, star_graph, switching_matrix
+from lightsout.game import (
+    path_graph,
+    petersen_graph,
+    random_graph,
+    star_graph,
+    switching_matrix,
+)
 from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import Poly, poly_gcd, prod
 
@@ -31,18 +37,18 @@ def companion(f: Poly) -> PrimeFieldMatrix:
 class TestCharMatrix:
     def test_zero_matrix(self):
         M = snf.char_matrix(PrimeFieldMatrix.zeros(2, 2, 2))
-        assert M[0, 0] == P("x") and M[1, 1] == P("x")
-        assert M[0, 1].is_zero and M[1, 0].is_zero
+        assert M[0][0] == P("x") and M[1][1] == P("x")
+        assert M[0][1].is_zero and M[1][0].is_zero
 
     def test_identity_1x1(self):
         M = snf.char_matrix(PrimeFieldMatrix.identity(1, 2))
-        assert M[0, 0] == P("x + 1")
+        assert M[0][0] == P("x + 1")
 
     def test_path2_negation_wraps(self):
         M = snf.char_matrix(PrimeFieldMatrix([[0, 1], [1, 0]], 2))
-        assert M[0, 0] == P("x") and M[0, 1] == P("1")
+        assert M[0][0] == P("x") and M[0][1] == P("1")
         M3 = snf.char_matrix(PrimeFieldMatrix([[0, 1], [1, 0]], 3))
-        assert M3[0, 1] == Poly.constant(2, 3)
+        assert M3[0][1] == Poly.constant(2, 3)
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -91,13 +97,31 @@ class TestSmithNormalForm:
         assert s.invariant_factors == (P("x + 1"), P("x + 1"))
 
     def test_unimodular_1x1(self):
-        s = snf.smith_normal_form(snf.PolyMatrix([[Poly.one(2)]], 2))
+        s = snf.smith_normal_form([[Poly.one(2)]])
         assert s.invariant_factors == (Poly.one(2),)
+
+    def test_diagonal_coprime_pair_becomes_chain(self):
+        s = snf.smith_normal_form([[P("x"), P("0")], [P("0"), P("x + 1")]])
+        assert s.invariant_factors == (Poly.one(2), P("x^2 + x"))
+
+    def test_diagonal_out_of_order_becomes_chain(self):
+        s = snf.smith_normal_form([[P("x^2"), P("0")], [P("0"), P("x")]])
+        assert s.invariant_factors == (P("x"), P("x^2"))
+
+    def test_non_monic_diagonal_comes_out_monic(self):
+        s = snf.smith_normal_form(
+            [[P("2*x", 3), P("0", 3)], [P("0", 3), P("x^2 + 1", 3)]]
+        )
+        assert s.invariant_factors == (Poly.one(3), P("x^3 + x", 3))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            snf.smith_normal_form([[P("x"), P("1")]])
 
     def test_singular_matrix_rejected(self):
         x = P("x")
         with pytest.raises(ValueError, match="zero determinant"):
-            snf.smith_normal_form(snf.PolyMatrix([[x, x], [x, x]], 2))
+            snf.smith_normal_form([[x, x], [x, x]])
 
     def test_divisibility_chain_and_degree_sum(self):
         rng = random.Random(61)
@@ -122,7 +146,7 @@ class TestSmithNormalForm:
                 A = PrimeFieldMatrix(
                     [[rng.randrange(p) for _ in range(n)] for _ in range(n)], p
                 )
-                cm = snf.char_matrix(A).to_lists()
+                cm = snf.char_matrix(A)
                 s = snf.invariant_factors(A)
                 for k in range(1, n + 1):
                     g = Poly.zero(p)
@@ -146,6 +170,14 @@ class TestSmithNormalForm:
             s = snf.invariant_factors(A)
             divisible = sum(1 for f in s.invariant_factors if (f % x).is_zero)
             assert divisible == gfmat.rank_nullity(A).nullity
+        # large graphs, where the Berkowitz cross-check would be slow: x counts
+        # the kernel of A and x + 1 the kernel of A + I
+        for n in (30, 40, 48):
+            g = random_graph(n, rng)
+            s = snf.invariant_factors(switching_matrix(g))
+            for q, mode in ((x, "open"), (P("x + 1"), "closed")):
+                divisible = sum(1 for f in s.invariant_factors if (f % q).is_zero)
+                assert divisible == gfmat.rank_nullity(switching_matrix(g, mode)).nullity
 
 
 class TestCharpolyRoutes:
@@ -211,7 +243,7 @@ class TestFactorData:
         assert snf.factor_data(s).exponents == {P("x + 1"): (2,)}
 
     def test_all_units_empty_map(self):
-        s = snf.smith_normal_form(snf.PolyMatrix([[Poly.one(2)]], 2))
+        s = snf.smith_normal_form([[Poly.one(2)]])
         assert snf.factor_data(s).exponents == {}
 
     def test_exponents_nondecreasing_and_recompose(self):
