@@ -175,14 +175,15 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
         if not line:
             continue
         tokens = line.split()
+        columns = [m.start() + 1 for m in re.finditer(r"\S+", raw)]
 
-        def err(msg: str, token: str | None = None):
-            col = raw.index(token) + 1 if token and token in raw else 1
+        def err(msg: str, index: int | None = None):
+            col = columns[index] if index is not None else 1
             return GraphParseError(f"{source}:{lineno}:{col}: {msg}")
 
         if n is None:
             if len(tokens) != 1 or not tokens[0].isdigit():
-                raise err(f"expected vertex count, got {line!r}", tokens[0])
+                raise err(f"expected vertex count, got {line!r}", 0)
             n = int(tokens[0])
             continue
         if len(tokens) != 2:
@@ -192,13 +193,13 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
         except ValueError:
             raise err(f"edge endpoints must be integers, got {line!r}") from None
         if u == v:
-            raise err(f"loop edge {u} {v} is not allowed", tokens[1])
+            raise err(f"loop edge {u} {v} is not allowed", 1)
         if not 0 <= u < v:
-            raise err(f"edge endpoints must satisfy u < v, got {u} {v}", tokens[0])
+            raise err(f"edge endpoints must satisfy u < v, got {u} {v}", 0)
         if v >= n:
-            raise err(f"endpoint {v} out of range for n={n}", tokens[1])
+            raise err(f"endpoint {v} out of range for n={n}", 1)
         if (u, v) in edges:
-            raise err(f"duplicate edge {u} {v}", tokens[0])
+            raise err(f"duplicate edge {u} {v}", 0)
         edges.add((u, v))
     if n is None:
         raise GraphParseError(f"{source}:1:1: empty graph file")

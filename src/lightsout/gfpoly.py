@@ -7,6 +7,11 @@ empty tuple and its degree is reported as ``None`` (never a sentinel like -1).
 The canonical text form writes terms in descending degree with ``^`` for
 powers and explicit coefficients where they differ from 1, e.g. ``x^3 + x + 1``
 or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
+
+Arithmetic operands are ``Poly`` over the same field: any other type raises
+TypeError and a different p raises ValueError.  :func:`factor` takes degree
+<= MAX_FACTOR_DEGREE and sieves at most 2**12 candidates per degree, so at
+large p it raises ValueError instead of running for hours.
 """
 
 from __future__ import annotations
@@ -15,12 +20,16 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Largest degree accepted by :func:`factor`.  Trial division against the
 #: irreducible sieve is quadratic-ish in the sieve size; inputs here are
 #: characteristic polynomials of small graphs, so a hard cap keeps misuse loud.
 MAX_FACTOR_DEGREE = 24
+
+#: Largest irreducible sieve :func:`factor` enumerates (p**d candidates for a
+#: degree d >= 2): the largest the degree cap allows at p = 2.
+_MAX_SIEVE = 2 ** (MAX_FACTOR_DEGREE // 2)
 
 _MAX_MODULUS = 1 << 16
 
@@ -143,50 +152,41 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.p != self.p:
-                raise ValueError(f"field mismatch: GF({self.p}) vs GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return Poly.constant(other, self.p)
-        raise TypeError(f"cannot combine Poly with {type(other).__name__}")
+    def _is_operand(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return False
+        if other.p != self.p:
+            raise ValueError(f"field mismatch: GF({self.p}) vs GF({other.p})")
+        return True
 
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
+    def _combine(self, other, sign: int) -> "Poly":
+        """self + sign * other for sign = +1 or -1, built in one pass."""
+        if not self._is_operand(other):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        out = list(a) + [0] * (len(b) - len(a))
         for i, v in enumerate(b):
-            out[i] = (out[i] + v) % self.p
+            out[i] += sign * v
         return Poly(out, self.p)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-v for v in self.coeffs], self.p)
+    def __add__(self, other) -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) - self
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
+        if not self._is_operand(other):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.p)
-        p = self.p
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return Poly([v % p for v in out], p)
-
-    __rmul__ = __mul__
+        return Poly(out, self.p)
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -201,7 +201,8 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        other = self._coerce(other)
+        if not self._is_operand(other):
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
         p = self.p
@@ -241,10 +242,9 @@ class Poly:
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute: returns self(inner(x))."""
-        inner = self._coerce(inner)
         acc = Poly.zero(self.p)
         for c in reversed(self.coeffs):
-            acc = acc * inner + c
+            acc = acc * inner + Poly((c,), self.p)
         return acc
 
     # -- rendering ---------------------------------------------------------
@@ -302,10 +302,8 @@ class Factorization:
 
     def expand(self) -> Poly:
         """Multiply the factorization back out."""
-        acc = Poly.constant(self.unit, self.p)
-        for q, e in self.factors:
-            acc = acc * q**e
-        return acc
+        acc = prod((q**e for q, e in self.factors), self.p)
+        return Poly.constant(self.unit, self.p) * acc
 
     def __str__(self) -> str:
         if not self.factors:
@@ -314,11 +312,6 @@ class Factorization:
         for q, e in self.factors:
             parts.append(f"({q})" + (f"^{e}" if e > 1 else ""))
         return " * ".join(parts)
-
-
-def _monic_candidates(p: int, degree: int) -> Iterator[Poly]:
-    for lower in product(range(p), repeat=degree):
-        yield Poly(lower + (1,), p)
 
 
 @lru_cache(maxsize=None)
@@ -334,18 +327,16 @@ def monic_irreducibles(p: int, degree: int) -> tuple[Poly, ...]:
     if degree == 1:
         return tuple(Poly((c, 1), p) for c in range(p))
     divisors = [q for d in range(1, degree // 2 + 1) for q in monic_irreducibles(p, d)]
-    found = []
-    for g in _monic_candidates(p, degree):
-        if all(not (g % q).is_zero for q in divisors):
-            found.append(g)
-    return tuple(found)
+    candidates = (Poly(lower + (1,), p) for lower in product(range(p), repeat=degree))
+    return tuple(g for g in candidates if all(not (g % q).is_zero for q in divisors))
 
 
 def factor(f: Poly) -> Factorization:
     """Factor into monic irreducibles by trial division.
 
-    Raises ValueError for the zero polynomial or degree above
-    MAX_FACTOR_DEGREE.
+    Raises ValueError for the zero polynomial, degree above
+    MAX_FACTOR_DEGREE, or a sieve of degree d >= 2 with p**d above
+    2**(MAX_FACTOR_DEGREE // 2) candidates.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -362,6 +353,10 @@ def factor(f: Poly) -> Factorization:
         if 2 * d > rem.degree:
             factors.append((rem, 1))
             break
+        if d > 1 and p**d > _MAX_SIEVE:
+            raise ValueError(
+                f"GF({p}) degree-{d} sieve of {p}^{d} exceeds {_MAX_SIEVE} candidates"
+            )
         for q in monic_irreducibles(p, d):
             if rem.degree < 2 * d:
                 break

@@ -54,9 +54,6 @@ class FactorData:
 
     exponents: dict[Poly, tuple[int, ...]]
 
-    def irreducibles(self) -> tuple[Poly, ...]:
-        return tuple(self.exponents)
-
     def __str__(self) -> str:
         return "; ".join(
             f"{q}: {list(es)}" for q, es in self.exponents.items()
@@ -115,14 +112,14 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
             pivot = krow[k]
             for row in a[k + 1 :]:
                 if row[k]:
-                    q = row[k] // pivot
-                    for j in range(k, n):
+                    q, row[k] = divmod(row[k], pivot)
+                    for j in range(k + 1, n):
                         if krow[j]:
                             row[j] = row[j] - q * krow[j]
             for j in range(k + 1, n):
                 if krow[j]:
-                    q = krow[j] // pivot
-                    for row in a[k:]:
+                    q, krow[j] = divmod(krow[j], pivot)
+                    for row in a[k + 1 :]:
                         if row[k]:
                             row[j] = row[j] - q * row[k]
             if not any(krow[k + 1 :]) and not any(row[k] for row in a[k + 1 :]):

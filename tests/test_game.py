@@ -97,8 +97,13 @@ class TestGraphFiles:
             parse_graph_text(text)
 
     def test_line_and_column_reported(self):
-        with pytest.raises(GraphParseError, match=r"<string>:3:3"):
-            parse_graph_text("3\n0 1\n0 3\n")
+        for text, where in (
+            ("3\n0 1\n0 3\n", "<string>:3:3:"),
+            ("3\n0 1\n2 2\n", "<string>:3:3:"),  # loop: the second 2, not the first
+            ("3\n0 1\n  1 1\n", "<string>:3:5:"),
+        ):
+            with pytest.raises(GraphParseError, match=where):
+                parse_graph_text(text)
 
 
 class TestCartesianProduct:

@@ -57,6 +57,21 @@ class TestPolyBasics:
         for good in (2, 3, 5, 7, 65521):
             assert check_prime(good) == good
 
+    def test_int_operands_rejected(self):
+        f = P("x + 1")
+        for combine in (
+            lambda: f + 1,
+            lambda: 1 + f,
+            lambda: 2 * f,
+            lambda: f - 1,
+        ):
+            with pytest.raises(TypeError):
+                combine()
+
+    def test_field_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            P("x + 1", 2) - P("x + 1", 3)
+
 
 class TestTextFormat:
     @pytest.mark.parametrize(
@@ -120,6 +135,8 @@ class TestDivmod:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero or r.degree < b.degree
+            assert (a - b) + b == a
+            assert (a - a).is_zero
 
 
 class TestGcd:
@@ -243,6 +260,13 @@ class TestFactor:
             factor(Poly.zero(2))
         with pytest.raises(ValueError):
             factor(Poly.monomial(MAX_FACTOR_DEGREE + 1, 2))
+
+    def test_large_field_sieve_capped(self):
+        # (x^2 - 17)^2 with 17 a non-residue mod 65521: the degree-2 sieve
+        # would enumerate 65521^2 candidates
+        f = Poly.parse("x^4 + 65487*x^2 + 289", 65521)
+        with pytest.raises(ValueError, match=r"GF\(65521\).*degree-2"):
+            factor(f)
 
     def test_cap_boundary_accepted(self):
         d = factor(Poly.monomial(MAX_FACTOR_DEGREE, 2))

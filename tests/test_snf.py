@@ -137,8 +137,21 @@ class TestSmithNormalForm:
                     assert (b % a).is_zero
 
     def test_determinantal_divisors(self):
-        # s_1 ... s_k equals the monic gcd of all k x k minors of xI - A,
-        # with minors computed by plain cofactor expansion.
+        # s_1 ... s_k equals the monic gcd of all k x k minors, with minors
+        # computed by plain cofactor expansion.  Inputs are xI - A and random
+        # nonsingular matrices with entries of degree <= 2; the latter have
+        # non-unit pivots with nonzero remainders below them, which xI - A
+        # rarely has.
+        def check(M, s, p):
+            n = len(M)
+            for k in range(1, n + 1):
+                g = Poly.zero(p)
+                for rows_sel in combinations(range(n), k):
+                    for cols_sel in combinations(range(n), k):
+                        sub = [[M[i][j] for j in cols_sel] for i in rows_sel]
+                        g = poly_gcd(g, poly_det_cofactor(sub, p))
+                assert g == prod(s.invariant_factors[:k], p).monic()
+
         rng = random.Random(67)
         for p in (2, 3):
             for _ in range(8):
@@ -146,15 +159,18 @@ class TestSmithNormalForm:
                 A = PrimeFieldMatrix(
                     [[rng.randrange(p) for _ in range(n)] for _ in range(n)], p
                 )
-                cm = snf.char_matrix(A)
-                s = snf.invariant_factors(A)
-                for k in range(1, n + 1):
-                    g = Poly.zero(p)
-                    for rows_sel in combinations(range(n), k):
-                        for cols_sel in combinations(range(n), k):
-                            sub = [[cm[i][j] for j in cols_sel] for i in rows_sel]
-                            g = poly_gcd(g, poly_det_cofactor(sub, p))
-                    assert g == prod(s.invariant_factors[:k], p).monic()
+                check(snf.char_matrix(A), snf.invariant_factors(A), p)
+        rng = random.Random(68)
+        for p in (2, 3):
+            for n in (2, 3):
+                for _ in range(12):
+                    M = [
+                        [Poly([rng.randrange(p) for _ in range(3)], p) for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                    if poly_det_cofactor(M, p).is_zero:
+                        continue
+                    check(M, snf.smith_normal_form(M), p)
 
     def test_paths_are_nonderogatory(self):
         for m in range(1, 9):
