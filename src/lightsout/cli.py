@@ -8,6 +8,9 @@ verb does not read, malformed graph specs, unreadable files, a non-prime
 --p, a negative --max-oracle, an unwritable --csv path) exit 2.  Any other
 exception is an internal fault and exits 3.  An operator larger than
 --max-oracle is never built: its row is marked ``skipped`` in every verb.
+Each distinct factor graph is summarized (switching matrix, invariant
+factors, characteristic polynomial) once per invocation, so a sweep over
+n x n pairs computes n Smith forms in open mode and 2n in closed, not 2n^2.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -27,6 +30,7 @@ from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
 from lightsout.game import Graph, GraphParseError
+from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import Poly, check_prime, shift_one
 
 SCHEMA_VERSION = 1
@@ -125,11 +129,30 @@ def _oracle(A, B, cap: int, compute=None):
     return compute(A, B)
 
 
+#: A factor graph's (switching matrix, invariant factors, characteristic
+#: polynomial): all a comparison row needs of it.
+FactorSummary = tuple[PrimeFieldMatrix, snf.SnfResult, Poly]
+
+
+def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
+    """The FactorSummary of g in ``mode`` over GF(p), computed once per memo.
+
+    memo is keyed by (Graph, mode, p) and lives for one handler call, so
+    each distinct factor of a sweep is summarized once per invocation.
+    """
+    key = (g, mode, p)
+    if key not in memo:
+        M = game.switching_matrix(g, mode, p)
+        s = snf.invariant_factors(M)
+        memo[key] = (M, s, snf.charpoly_from_snf(s, p))
+    return memo[key]
+
+
 def _product_row(
     gspec: str,
     hspec: str,
-    g: Graph,
-    h: Graph,
+    fa: FactorSummary,
+    fb: FactorSummary,
     mode: str,
     p: int,
     cap: int,
@@ -138,19 +161,16 @@ def _product_row(
 ) -> dict:
     """One formula/oracle/bound comparison row for a product operator.
 
-    Closed mode shifts the first matrix to A + I; over GF(2) that is exactly
-    the closed-switching matrix of the product graph.  The bound is
+    fa summarizes the first factor in ``mode`` and fb the second in open
+    mode.  Closed mode shifts the first matrix to A + I; over GF(2) that is
+    exactly the closed-switching matrix of the product graph.  The bound is
     deg gcd(c_A, c_B) of the two matrices compared, with both characteristic
     polynomials read off their invariant factors.  With ``charpolys`` the
     row also carries the open-mode polynomials of both factors:
     c_A(x) = c_{A+I}(x + 1) over every GF(p).
     """
-    A = game.switching_matrix(g, mode, p)
-    B = game.switching_matrix(h, "open", p)
-    sa = snf.invariant_factors(A)
-    sb = snf.invariant_factors(B)
-    ca = snf.charpoly_from_snf(sa, p)
-    cb = snf.charpoly_from_snf(sb, p)
+    A, sa, ca = fa
+    B, sb, cb = fb
     value = formulas.nullity_snf_product(sa, sb)
     bound = formulas.gcd_lower_bound(ca, cb)
     oracle = _oracle(A, B, cap)
@@ -199,8 +219,7 @@ def _presses_string(bits: Sequence[int]) -> str:
 def _cmd_charpoly(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
     g = _graph(args.g)
-    M = game.switching_matrix(g, args.mode, args.p)
-    via_snf = snf.charpoly_from_snf(snf.invariant_factors(M), args.p)
+    M, _, via_snf = _factor({}, g, args.mode, args.p)
     via_oracle = snf.charpoly_oracle(M, args.p)
     match = via_snf == via_oracle
     report.results.append(
@@ -222,8 +241,7 @@ def _cmd_charpoly(args) -> tuple[int, Report]:
 def _cmd_snf(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
     g = _graph(args.g)
-    M = game.switching_matrix(g, args.mode, args.p)
-    s = snf.invariant_factors(M)
+    _, s, c = _factor({}, g, args.mode, args.p)
     report.results.append(
         {
             "g": args.g,
@@ -231,7 +249,7 @@ def _cmd_snf(args) -> tuple[int, Report]:
             "p": args.p,
             "n": g.vertex_count,
             "invariant_factors": str(s),
-            "charpoly": str(snf.charpoly_from_snf(s, args.p)),
+            "charpoly": str(c),
         }
     )
     return 0, report
@@ -239,9 +257,11 @@ def _cmd_snf(args) -> tuple[int, Report]:
 
 def _cmd_nullity(args, charpolys: bool = False) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
-    g, h = _graph(args.g), _graph(args.h)
+    memo: dict = {}
+    fa = _factor(memo, _graph(args.g), args.mode, args.p)
+    fb = _factor(memo, _graph(args.h), "open", args.p)
     row = _product_row(
-        args.g, args.h, g, h, args.mode, args.p, args.max_oracle, charpolys=charpolys
+        args.g, args.h, fa, fb, args.mode, args.p, args.max_oracle, charpolys=charpolys
     )
     report.results.append(row)
     _collect_row_violations(row, report.violations)
@@ -316,6 +336,8 @@ def _parse_range(arg: str, default: tuple[int, int], what: str) -> tuple[int, in
     lo, dash, hi = arg.partition("-")
     if not dash or not lo.isdigit() or not hi.isdigit():
         raise GraphParseError(f"malformed {what} range {arg!r} (want LO-HI)")
+    if int(lo) > int(hi):
+        raise GraphParseError(f"reversed {what} range {arg!r} (want LO <= HI)")
     return int(lo), int(hi)
 
 
@@ -362,10 +384,12 @@ def _sweep_pairs(target: str, seed: int):
 def _sweep(args, mode: str, p: int, target: str) -> tuple[int, Report]:
     randomized = target.partition(":")[0] == "random"
     report = Report(command=args.command_echo, seed=args.seed if randomized else None)
+    memo: dict = {}
     for gspec, hspec, g, h, extra in _sweep_pairs(target, args.seed):
         if randomized:
             extra = {**extra, "seed": args.seed}
-        row = _product_row(gspec, hspec, g, h, mode, p, args.max_oracle, extra)
+        fa, fb = _factor(memo, g, mode, p), _factor(memo, h, "open", p)
+        row = _product_row(gspec, hspec, fa, fb, mode, p, args.max_oracle, extra)
         report.results.append(row)
         _collect_row_violations(row, report.violations)
     _note_skipped(report, "oracle_match")

@@ -10,8 +10,9 @@ or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
 
 Arithmetic operands are ``Poly`` over the same field: any other type raises
 TypeError and a different p raises ValueError.  :func:`factor` takes degree
-<= MAX_FACTOR_DEGREE and sieves at most 2**12 candidates per degree, so at
-large p it raises ValueError instead of running for hours.
+<= MAX_FACTOR_DEGREE, finds linear factors by evaluation at every field
+element, and sieves at most 2**12 candidates per degree >= 2, so at large p
+it raises ValueError instead of running for hours.
 """
 
 from __future__ import annotations
@@ -85,16 +86,6 @@ class Poly:
         return cls((c,), p)
 
     @classmethod
-    def x(cls, p: int) -> "Poly":
-        return cls((0, 1), p)
-
-    @classmethod
-    def monomial(cls, degree: int, p: int, coeff: int = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,), p)
-
-    @classmethod
     def parse(cls, text: str, p: int) -> "Poly":
         """Parse the canonical text form (tolerates extra whitespace)."""
         s = text.strip()
@@ -134,10 +125,6 @@ class Poly:
     def lead(self) -> int:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lead == 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -332,7 +319,11 @@ def monic_irreducibles(p: int, degree: int) -> tuple[Poly, ...]:
 
 
 def factor(f: Poly) -> Factorization:
-    """Factor into monic irreducibles by trial division.
+    """Factor into monic irreducibles.
+
+    Linear factors x - a come from the roots a, found by evaluating at every
+    a in GF(p); each higher degree d is trial division by the irreducibles
+    of degree d.
 
     Raises ValueError for the zero polynomial, degree above
     MAX_FACTOR_DEGREE, or a sieve of degree d >= 2 with p**d above
@@ -348,12 +339,23 @@ def factor(f: Poly) -> Factorization:
     unit = f.lead
     rem = f.monic()
     factors: list[tuple[Poly, int]] = []
-    d = 1
-    while rem.degree is not None and rem.degree > 0:
+    for a in range(p):
+        if rem.degree < 2:
+            break
+        if rem(a):
+            continue
+        linear = Poly((-a, 1), p)
+        e = 0
+        while rem(a) == 0:
+            rem //= linear
+            e += 1
+        factors.append((linear, e))
+    d = 2
+    while rem.degree > 0:
         if 2 * d > rem.degree:
             factors.append((rem, 1))
             break
-        if d > 1 and p**d > _MAX_SIEVE:
+        if p**d > _MAX_SIEVE:
             raise ValueError(
                 f"GF({p}) degree-{d} sieve of {p}^{d} exceeds {_MAX_SIEVE} candidates"
             )

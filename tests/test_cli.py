@@ -102,6 +102,10 @@ class TestExitCodes:
         assert (code, report) == (3, None)
         assert "error: internal ValueError: simulated fault" in capsys.readouterr().err
 
+    def test_reversed_sweep_range_is_usage_error(self, capsys):
+        assert cli.run(["sweep", "paths:9-3"]) == (2, None)
+        assert "reversed paths range '9-3'" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         code, _ = cli.run(["--help"])
         capsys.readouterr()
@@ -253,7 +257,7 @@ class TestSweep:
         assert all(row["oracle_match"] == "ok" for row in payload["results"])
 
     def test_empty_range_is_success(self, capsys):
-        code, _, payload = run_json(["sweep", "stars:9-3"], capsys)
+        code, _, payload = run_json(["sweep", "stars:4-4"], capsys)
         assert code == 0
         assert payload["results"] == []
 
@@ -266,6 +270,36 @@ class TestSweep:
         _, _, first = run_json(["sweep", "random:12", "--seed", "3"], capsys)
         _, _, second = run_json(["sweep", "random:12", "--seed", "3"], capsys)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv, distinct",
+        [(["sweep", "paths:2-6"], 5), (["sweep", "cycles:3-6", "--mode", "closed"], 8)],
+        ids=["paths-open", "cycles-closed"],
+    )
+    def test_each_factor_summarized_once_per_invocation(
+        self, argv, distinct, capsys, monkeypatch
+    ):
+        calls = []
+        original = snf.invariant_factors
+
+        def counted(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(snf, "invariant_factors", counted)
+        for _ in range(2):  # a second invocation reuses nothing of the first
+            calls.clear()
+            assert cli.run(argv)[0] == 0
+            assert len(calls) == distinct
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_rows_equal_single_nullity_runs(self, mode, capsys):
+        _, _, payload = run_json(["sweep", "paths:2-6", "--mode", mode], capsys)
+        assert len(payload["results"]) == 25
+        for row in payload["results"]:
+            argv = ["nullity", "--g", row["g"], "--h", row["h"], "--mode", mode]
+            assert run_json(argv, capsys)[2]["results"] == [row]
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 from helpers import all_monic_polys
 from lightsout.gfpoly import (
     MAX_FACTOR_DEGREE,
+    Factorization,
     Poly,
     check_prime,
     factor,
@@ -29,7 +30,7 @@ class TestPolyBasics:
     def test_zero_degree_is_none(self):
         assert Poly.zero(2).degree is None
         assert Poly.constant(4, 5).degree == 0
-        assert Poly.x(3).degree == 1
+        assert P("x", 3).degree == 1
 
     def test_coefficients_reduced_mod_p(self):
         assert Poly((5, 7, 9), 3).coeffs == (2, 1)
@@ -162,7 +163,7 @@ class TestGcd:
             if g.is_zero:
                 assert a.is_zero and b.is_zero
                 continue
-            assert g.is_monic
+            assert g.lead == 1
             assert (a % g).is_zero and (b % g).is_zero
 
     def test_every_brute_force_common_divisor_divides_gcd(self):
@@ -259,7 +260,7 @@ class TestFactor:
         with pytest.raises(ValueError):
             factor(Poly.zero(2))
         with pytest.raises(ValueError):
-            factor(Poly.monomial(MAX_FACTOR_DEGREE + 1, 2))
+            factor(Poly((0,) * (MAX_FACTOR_DEGREE + 1) + (1,), 2))
 
     def test_large_field_sieve_capped(self):
         # (x^2 - 17)^2 with 17 a non-residue mod 65521: the degree-2 sieve
@@ -268,8 +269,21 @@ class TestFactor:
         with pytest.raises(ValueError, match=r"GF\(65521\).*degree-2"):
             factor(f)
 
+    def test_large_field_linear_factors_by_evaluation(self):
+        # (x - 3)^2 (x - 65000) (x^2 - 17) over GF(65521): the roots come from
+        # evaluation, so no degree-1 sieve of 65521 polynomials is built
+        p = 65521
+        x_minus_3, x_minus_65000 = P("x + 65518", p), P("x + 521", p)
+        quadratic = P("x^2 + 65504", p)
+        f = x_minus_3 ** 2 * x_minus_65000 * quadratic
+        monic_irreducibles.cache_clear()
+        assert factor(f) == Factorization(
+            1, ((x_minus_65000, 1), (x_minus_3, 2), (quadratic, 1)), p
+        )
+        assert monic_irreducibles.cache_info().currsize == 0
+
     def test_cap_boundary_accepted(self):
-        d = factor(Poly.monomial(MAX_FACTOR_DEGREE, 2))
+        d = factor(Poly((0,) * MAX_FACTOR_DEGREE + (1,), 2))
         assert d.factors == ((P("x"), MAX_FACTOR_DEGREE),)
 
     def test_reported_factors_have_no_small_divisors(self):

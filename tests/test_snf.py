@@ -132,7 +132,7 @@ class TestSmithNormalForm:
                 s = snf.invariant_factors(A)
                 assert len(s) == n
                 assert sum(f.degree for f in s.invariant_factors) == n
-                assert all(f.is_monic for f in s.invariant_factors)
+                assert all(f.lead == 1 for f in s.invariant_factors)
                 for a, b in zip(s.invariant_factors, s.invariant_factors[1:]):
                     assert (b % a).is_zero
 
