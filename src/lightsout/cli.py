@@ -111,10 +111,6 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 # -- shared computation ------------------------------------------------------
 
 
-def _graph(spec: str) -> Graph:
-    return game.build_family(spec)
-
-
 def _oracle(A, B, cap: int, compute=None):
     """compute(A, B) for the A-by-B product operator, or "skipped" over the cap.
 
@@ -218,7 +214,7 @@ def _presses_string(bits: Sequence[int]) -> str:
 
 def _cmd_charpoly(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
-    g = _graph(args.g)
+    g = game.build_family(args.g)
     M, _, via_snf = _factor({}, g, args.mode, args.p)
     via_oracle = snf.charpoly_oracle(M, args.p)
     match = via_snf == via_oracle
@@ -240,7 +236,7 @@ def _cmd_charpoly(args) -> tuple[int, Report]:
 
 def _cmd_snf(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
-    g = _graph(args.g)
+    g = game.build_family(args.g)
     _, s, c = _factor({}, g, args.mode, args.p)
     report.results.append(
         {
@@ -258,8 +254,8 @@ def _cmd_snf(args) -> tuple[int, Report]:
 def _cmd_nullity(args, charpolys: bool = False) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
     memo: dict = {}
-    fa = _factor(memo, _graph(args.g), args.mode, args.p)
-    fb = _factor(memo, _graph(args.h), "open", args.p)
+    fa = _factor(memo, game.build_family(args.g), args.mode, args.p)
+    fb = _factor(memo, game.build_family(args.h), "open", args.p)
     row = _product_row(
         args.g, args.h, fa, fb, args.mode, args.p, args.max_oracle, charpolys=charpolys
     )
@@ -274,7 +270,7 @@ def _cmd_bound(args) -> tuple[int, Report]:
 
 def _cmd_counts(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
-    g = _graph(args.g)
+    g = game.build_family(args.g)
     r, nu = game.count_exponents(g, args.mode)
     report.results.append(
         {"g": args.g, "mode": args.mode, "n": g.vertex_count, "r": r, "nu": nu}
@@ -287,7 +283,7 @@ def _cmd_counts(args) -> tuple[int, Report]:
 
 def _cmd_solve(args) -> tuple[int, Report]:
     report = Report(command=args.command_echo)
-    g = _graph(args.g)
+    g = game.build_family(args.g)
     if args.h is None:
         inst = game.LightsInstance(g, args.mode, (1,) * g.vertex_count)
         sol = game.solve_presses(inst)
@@ -302,7 +298,7 @@ def _cmd_solve(args) -> tuple[int, Report]:
         }
         report.results.append(row)
         return 0, report
-    h = _graph(args.h)
+    h = game.build_family(args.h)
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count

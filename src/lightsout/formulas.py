@@ -14,7 +14,7 @@ from typing import Sequence
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, poly_gcd, shift_one
+from lightsout.gfpoly import Poly, poly_gcd
 from lightsout.snf import FactorData, SnfResult, charpoly_oracle
 
 #: Largest operator size (rows = m*n) the elimination oracle accepts.
@@ -108,17 +108,17 @@ def nullity_path_product(m: int, sg: SnfResult) -> int:
 
 
 def gcd_lower_bound(ca: Poly, cb: Poly, mode: str = "open") -> int:
-    """Degree of gcd(c_A, c_B) (open) or gcd(c_A(x+1), c_B) (closed).
+    """Degree of gcd(c_A, c_B) (open) or gcd(c_A(x-1), c_B) (closed).
 
-    A lower bound for the nullity of the open (resp. closed, over
-    characteristic 2) product operator built from matrices with these
-    characteristic polynomials.
+    A lower bound for the nullity of the product operator built from A and
+    B (open) or from A + I and B (closed), given c_A and c_B.  The closed
+    form uses c_{A+I}(x) = c_A(x - 1), which holds over every GF(p).
     """
     check_mode(mode)
     if ca.p != cb.p:
         raise ValueError(f"field mismatch: GF({ca.p}) vs GF({cb.p})")
     if mode == "closed":
-        ca = shift_one(ca)
+        ca = ca.compose(Poly((-1, 1), ca.p))
     return poly_gcd(ca, cb).degree or 0
 
 

@@ -51,17 +51,6 @@ class Graph:
         )
         return cls(n, normalized)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
     def adjacency_rows(self) -> list[list[int]]:
         rows = [[0] * self.vertex_count for _ in range(self.vertex_count)]
         for u, v in self.edges:
@@ -267,12 +256,6 @@ class PressSolution:
                 if take:
                     v = [(a + b) % 2 for a, b in zip(v, kvec)]
             yield tuple(v)
-
-
-def is_solvable(inst: LightsInstance) -> bool:
-    """Whether the configuration can be switched to all-off."""
-    M = switching_matrix(inst.graph, inst.mode)
-    return gfmat.solve(M, inst.config) is not None
 
 
 def solve_presses(inst: LightsInstance) -> PressSolution | None:

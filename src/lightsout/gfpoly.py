@@ -82,10 +82,6 @@ class Poly:
         return cls((1,), p)
 
     @classmethod
-    def constant(cls, c: int, p: int) -> "Poly":
-        return cls((c,), p)
-
-    @classmethod
     def parse(cls, text: str, p: int) -> "Poly":
         """Parse the canonical text form (tolerates extra whitespace)."""
         s = text.strip()
@@ -290,7 +286,7 @@ class Factorization:
     def expand(self) -> Poly:
         """Multiply the factorization back out."""
         acc = prod((q**e for q, e in self.factors), self.p)
-        return Poly.constant(self.unit, self.p) * acc
+        return Poly((self.unit,), self.p) * acc
 
     def __str__(self) -> str:
         if not self.factors:

@@ -25,9 +25,6 @@ class SnfResult:
 
     invariant_factors: tuple[Poly, ...]
 
-    def __iter__(self):
-        return iter(self.invariant_factors)
-
     def __len__(self) -> int:
         return len(self.invariant_factors)
 

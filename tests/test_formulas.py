@@ -114,6 +114,16 @@ class TestSnfProductNullity:
                     snf.factor_data(sa), snf.factor_data(sb)
                 )
 
+    def test_nonsymmetric_pairs_match_oracle(self):
+        rng = random.Random(89)
+        for p in (2, 3):
+            for _ in range(25):
+                n, m = rng.randint(1, 6), rng.randint(1, 6)
+                A = PrimeFieldMatrix(random_matrix01(n, n, rng), p)
+                B = PrimeFieldMatrix(random_matrix01(m, m, rng), p)
+                sa, sb = invariant_factors(A), invariant_factors(B)
+                assert nullity_snf_product(sa, sb) == oracle_nullity(A, B)
+
 
 class TestSnfSelfNullity:
     def test_petersen_weights(self):
@@ -236,13 +246,19 @@ class TestFormulaOracleAgreement:
             ) == oracle_nullity(A, B)
 
     def test_bounds_hold_on_random_pairs(self):
+        # path:1 x complete:3 over GF(5): c_{A+I} = x - 1 is coprime to
+        # c_B = (x - 2)(x + 1)^2, so the closed bound is 0; substituting
+        # x + 1 instead of x - 1 would give 1, above the oracle's 0
+        pairs = [(game.path_graph(1), game.complete_graph(3), 5)]
         rng = random.Random(113)
         for _ in range(60):
             g = game.random_graph(rng.randint(1, 7), rng)
             h = game.random_graph(rng.randint(1, 7), rng)
-            A, B = adjacency(g), adjacency(h)
-            ca = snf.charpoly_oracle(A, 2)
-            cb = snf.charpoly_oracle(B, 2)
+            pairs += [(g, h, p) for p in (2, 3, 5)]
+        for g, h, p in pairs:
+            A, B = adjacency(g, p), adjacency(h, p)
+            ca = snf.charpoly_oracle(A, p)
+            cb = snf.charpoly_oracle(B, p)
             assert gcd_lower_bound(ca, cb, "open") <= oracle_nullity(A, B)
-            closed_first = A + PrimeFieldMatrix.identity(A.rows, 2)
+            closed_first = A + PrimeFieldMatrix.identity(A.rows, p)
             assert gcd_lower_bound(ca, cb, "closed") <= oracle_nullity(closed_first, B)
