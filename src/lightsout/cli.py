@@ -354,8 +354,12 @@ def _sweep_pairs(target: str, seed: int):
                 yield f"path:{a}", f"path:{b}", game.path_graph(a), game.path_graph(b), {}
     elif kind == "cycles":
         lo, hi = _parse_range(arg, (3, 10), "cycles")
-        for a in range(max(lo, 3), hi + 1):
-            for b in range(max(lo, 3), hi + 1):
+        if lo < 3:
+            raise GraphParseError(
+                f"cycles range {arg!r} starts below 3 (cycle:n needs n >= 3)"
+            )
+        for a in range(lo, hi + 1):
+            for b in range(lo, hi + 1):
                 yield f"cycle:{a}", f"cycle:{b}", game.cycle_graph(a), game.cycle_graph(b), {}
     elif kind == "random":
         count = RANDOM_PAIR_COUNT
@@ -641,10 +645,11 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
 
     Exit codes: 0 success; 1 violated invariant (formula/oracle mismatch or
     bound violation); 2 usage error (bad flags, a malformed graph spec or
-    graph file, a --p that is not prime, a negative --max-oracle, an
-    unwritable --csv path); 3 internal fault (any other
-    exception, reported on stderr as ``error: internal ...`` and its
-    traceback).  The report is None when no handler ran to the end.
+    graph file, a reversed sweep range or a cycles range below 3, a --p that
+    is not prime, a negative --max-oracle, an unwritable --csv path); 3
+    internal fault (any other exception, reported on stderr as ``error:
+    internal ...`` and its traceback).  The report is None when no handler
+    ran to the end.
     """
     try:
         args = build_parser().parse_args(list(argv))

@@ -265,23 +265,35 @@ def rank_nullity(M: PrimeFieldMatrix) -> RankProfile:
 
 
 def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution of Mx = b, or None when b is outside the column space."""
+    """One solution of Mx = b, or None when b is outside the column space.
+
+    Free variables are 0, so the solution is the one read off the RREF of
+    [M | b]; it is found by forward elimination and back-substitution.
+    """
     if len(b) != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows} rows vs {len(b)} entries")
     p = M.p
-    bv = [v % p for v in b]
+    n = M.cols
     if p == 2:
-        aug = [M._data[i] | (bv[i] << M.cols) for i in range(M.rows)]
-        data, pivots = _gf2kernel.echelon_bits(aug, M.cols + 1, reduced=True)
+        aug = [row | ((v & 1) << n) for row, v in zip(M._data, b)]
+        data, pivots = _gf2kernel.echelon_bits(aug, n + 1, reduced=False)
     else:
-        aug = [M._data[i] + [bv[i]] for i in range(M.rows)]
-        data, pivots = _echelon_modp(aug, M.cols + 1, p, reduced=True)
-    if pivots and pivots[-1] == M.cols:
+        aug = [row + [v % p] for row, v in zip(M._data, b)]
+        data, pivots = _echelon_modp(aug, n + 1, p, reduced=False)
+    if pivots and pivots[-1] == n:
         return None
-    x = [0] * M.cols
-    for k, c in enumerate(pivots):
-        x[c] = (data[k] >> M.cols) & 1 if p == 2 else data[k][M.cols]
-    return tuple(x)
+    # Pivot rows have a 1 in their pivot column and 0 left of it; fill the
+    # pivot variables right to left.  At p = 2, x is the bit set xbits.
+    xbits = 0
+    x = [0] * n
+    for k in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[k], data[k]
+        if p == 2:
+            if ((row >> n) ^ (row & xbits).bit_count()) & 1:
+                xbits |= 1 << c
+        else:
+            x[c] = (row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) % p
+    return _unpack_bits(xbits, n) if p == 2 else tuple(x)
 
 
 def kernel_basis(M: PrimeFieldMatrix) -> list[tuple[int, ...]]:
@@ -363,18 +375,17 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
         raise ValueError("Sylvester operator requires square A and B")
     p = A.p
     m, n = A.rows, B.rows
-    data = []
     if p == 2:
-        bcols = [_pack_bits(B[l, j] for l in range(n)) for j in range(n)]
-        for j in range(n):
-            col = bcols[j]
-            off = j * m
-            for i in range(m):
-                bits = A._data[i] << off
-                for l in _iter_bits(col):
-                    bits ^= 1 << (l * m + i)
-                data.append(bits)
+        # Row j*m + i is A[i] placed at block j, minus B[l, j] at l*m + i for
+        # each l: the latter is S_j << i with S_j the spread-out column j of B.
+        spread = [
+            sum(1 << (l * m) for l in range(n) if B._data[l] >> j & 1) for j in range(n)
+        ]
+        data = [
+            (A._data[i] << (j * m)) ^ (spread[j] << i) for j in range(n) for i in range(m)
+        ]
     else:
+        data = []
         for j in range(n):
             off = j * m
             for i in range(m):

@@ -85,3 +85,36 @@ def poly_det_cofactor(entries: list[list[Poly]], p: int) -> Poly:
         term = entries[0][j] * poly_det_cofactor(minor, p)
         total = total - term if j % 2 else total + term
     return total
+
+
+def echelon_bits_by_columns(rows, ncols, reduced=True):
+    """Column-at-a-time GF(2) elimination: the reference for the pure kernel.
+
+    Its output defines the ``echelon_bits`` contract, so the striped pure
+    kernel must match it bit for bit in both modes.
+    """
+    out = list(rows)
+    m = len(out)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        mask = 1 << c
+        pr = -1
+        for i in range(r, m):
+            if out[i] & mask:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            out[r], out[pr] = out[pr], out[r]
+        piv = out[r]
+        start = 0 if reduced else r + 1
+        for i in range(start, m):
+            if i != r and out[i] & mask:
+                out[i] ^= piv
+        pivots.append(c)
+        r += 1
+    return out, pivots

@@ -106,6 +106,12 @@ class TestExitCodes:
         assert cli.run(["sweep", "paths:9-3"]) == (2, None)
         assert "reversed paths range '9-3'" in capsys.readouterr().err
 
+    def test_cycles_range_below_three_is_usage_error(self, capsys):
+        assert cli.run(["sweep", "cycles:1-2"]) == (2, None)
+        assert "cycle:n needs n >= 3" in capsys.readouterr().err
+        assert cli.run(["sweep", "cycles:2-5"]) == (2, None)
+        capsys.readouterr()
+
     def test_help_exits_zero(self, capsys):
         code, _ = cli.run(["--help"])
         capsys.readouterr()

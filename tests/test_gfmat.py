@@ -184,6 +184,31 @@ class TestSolve:
                         gfmat.rank_nullity(aug).rank == gfmat.rank_nullity(M).rank + 1
                     )
 
+    def test_equals_solution_read_off_rref(self):
+        # Free variables are 0, so solve must give exactly the RREF solution.
+        rng = random.Random(29)
+        for p in (2, 3, 5):
+            for _ in range(80):
+                rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+                rank = rng.randint(1, min(rows, cols))
+                M = PrimeFieldMatrix(random_modp_matrix(rows, rank, p, rng), p) @ (
+                    PrimeFieldMatrix(random_modp_matrix(rank, cols, p, rng), p)
+                )
+                if rng.getrandbits(1):
+                    b = M.mul_vec([rng.randrange(p) for _ in range(cols)])
+                else:
+                    b = [rng.randrange(p) for _ in range(rows)]
+                aug = PrimeFieldMatrix([list(M.row(i)) + [b[i]] for i in range(rows)], p)
+                R, profile = gfmat.rref(aug)
+                if profile.pivot_columns and profile.pivot_columns[-1] == cols:
+                    want = None
+                else:
+                    x = [0] * cols
+                    for k, c in enumerate(profile.pivot_columns):
+                        x[c] = R[k, cols]
+                    want = tuple(x)
+                assert gfmat.solve(M, b) == want
+
     def test_matches_brute_force_on_small_systems(self):
         rng = random.Random(23)
         for p in (2, 3):
@@ -296,8 +321,10 @@ class TestSylvesterOperator:
     def test_matches_kronecker_formula(self):
         rng = random.Random(47)
         for p in (2, 3, 5):
-            for _ in range(15):
-                m, n = rng.randint(1, 4), rng.randint(1, 4)
+            # Random B is not symmetric; shapes include m != n and empty factors.
+            shapes = [(0, 0), (0, 3), (3, 0), (2, 5)]
+            shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(15)]
+            for m, n in shapes:
                 A = PrimeFieldMatrix(random_modp_matrix(m, m, p, rng), p)
                 B = PrimeFieldMatrix(random_modp_matrix(n, n, p, rng), p)
                 direct = gfmat.sylvester_operator(A, B)
