@@ -28,7 +28,9 @@ def _pack_bits(values: Iterable[int]) -> int:
 
 
 def _unpack_bits(bits: int, n: int) -> tuple[int, ...]:
-    return tuple((bits >> j) & 1 for j in range(n))
+    # from a list: tuple() of a generator over-allocates and resizes, which
+    # parks memory on the interpreter's tuple free lists every call
+    return tuple([(bits >> j) & 1 for j in range(n)])
 
 
 def _iter_bits(bits: int):

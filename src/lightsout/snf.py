@@ -1,21 +1,26 @@
 """Smith normal form of characteristic matrices over GF(p)[x].
 
 Matrices are plain rows of Poly: ``char_matrix`` returns the rows of
-xI - A, and ``smith_normal_form`` takes any square list of rows.  The
-reduction diagonalizes by Euclidean division, then turns the diagonal into
-the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by gcd/lcm
-exchanges.  Two independent routes to the characteristic polynomial are
-provided: the product of the invariant factors, and a division-free
-(Berkowitz) expansion over the integers reduced mod p.  They must agree;
-the test suite leans on that cross-check heavily.
+xI - A, and ``smith_normal_form`` takes any square list of rows and returns
+Poly invariant factors.  The reduction diagonalizes by Euclidean division,
+then turns the diagonal into the ordered invariant factors
+s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges.  Over GF(2) the
+same loop runs on polynomials packed into ints (bit i is the coefficient of
+x^i, subtraction is XOR, and multiplication, division and gcd are
+shift-and-XOR loops); Poly objects are built only for the result.  Two
+independent routes to the characteristic polynomial are provided: the
+product of the invariant factors, and a division-free (Berkowitz)
+expansion over the integers reduced mod p.  They must agree; the test
+suite leans on that cross-check heavily.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from lightsout.gfmat import PrimeFieldMatrix
+from lightsout.gfmat import PrimeFieldMatrix, _pack_bits, _unpack_bits
 from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_gcd, poly_key, prod
 
 
@@ -58,15 +63,83 @@ class FactorData:
 
 
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
-    """The rows of the characteristic matrix xI - A over GF(p)[x]."""
+    """The rows of the characteristic matrix xI - A over GF(p)[x].
+
+    Entries are shared: one Poly per distinct off-diagonal value -c and one
+    per distinct diagonal value x - c (Poly is immutable).
+    """
     if not A.is_square:
         raise ValueError("characteristic matrix requires a square matrix")
     p = A.p
-    n = A.rows
+    rows = A.to_lists()
+    const = {c: Poly((-c,), p) for c in {c for row in rows for c in row}}
+    diag = {c: Poly((-c, 1), p) for c in {row[i] for i, row in enumerate(rows)}}
     return [
-        [Poly((-A[i, j], 1) if i == j else (-A[i, j],), p) for j in range(n)]
-        for i in range(n)
+        [diag[c] if i == j else const[c] for j, c in enumerate(row)]
+        for i, row in enumerate(rows)
     ]
+
+
+def _divmod2(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of GF(2) polynomials packed into ints."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if b == 1:  # most pivots of xI - A are units
+        return a, 0
+    db = b.bit_length()
+    q = 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return q, a
+
+
+def _mul2(a: int, b: int) -> int:
+    """Product of GF(2) polynomials packed into ints."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _gcd2(a: int, b: int) -> int:
+    """gcd of GF(2) polynomials packed into ints (monic, as every nonzero one is)."""
+    while b:
+        a, b = b, _divmod2(a, b)[1]
+    return a
+
+
+def _poly_size(f: Poly) -> int:
+    return len(f.coeffs)
+
+
+#: (size, divmod, sub, mul, gcd) of the Smith form loop; size is the number
+#: of coefficients, degree + 1, and 0 for the zero polynomial.
+_POLY_OPS = (_poly_size, divmod, operator.sub, operator.mul, poly_gcd)
+_GF2_OPS = (int.bit_length, _divmod2, operator.xor, _mul2, _gcd2)
+
+
+def _field(rows: list[list[Poly]]) -> int | None:
+    """The field shared by every entry, or None for no entries.
+
+    Raises TypeError for an entry that is not a Poly and ValueError for
+    mixed fields, as Poly arithmetic does.
+    """
+    p = None
+    for row in rows:
+        for f in row:
+            if not isinstance(f, Poly):
+                raise TypeError(f"matrix entries must be Poly, not {type(f).__name__}")
+            if p is None:
+                p = f.p
+            elif f.p != p:
+                raise ValueError(f"field mismatch: GF({p}) vs GF({f.p})")
+    return p
 
 
 def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
@@ -80,21 +153,29 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
     monic at the end.
 
-    Raises ValueError for non-square input or a singular matrix (a diagonal
-    entry would be zero); xI - A is never singular.
+    Over GF(2) the entries are packed into ints on entry and the loop runs
+    on the int operations; the result is Poly either way.
+
+    Raises ValueError for non-square input, entries over different fields,
+    or a singular matrix (a diagonal entry would be zero); xI - A is never
+    singular.  Raises TypeError for an entry that is not a Poly.
     """
     a = [list(row) for row in M]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("Smith normal form is implemented for square matrices")
+    packed = _field(a) == 2
+    if packed:
+        a = [[_pack_bits(f.coeffs) for f in row] for row in a]
+    size, divmod_, sub, mul, gcd = _GF2_OPS if packed else _POLY_OPS
     for k in range(n):  # phase 1: diagonalize
         while True:
             best = None
             for i in range(k, n):
                 for j in range(k, n):
-                    size = len(a[i][j].coeffs)
-                    if size and (best is None or size < best[0]):
-                        best = (size, i, j)
+                    s = size(a[i][j])
+                    if s and (best is None or s < best[0]):
+                        best = (s, i, j)
                 if best and best[0] == 1:
                     break
             if best is None:
@@ -109,25 +190,27 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
             pivot = krow[k]
             for row in a[k + 1 :]:
                 if row[k]:
-                    q, row[k] = divmod(row[k], pivot)
+                    q, row[k] = divmod_(row[k], pivot)
                     for j in range(k + 1, n):
                         if krow[j]:
-                            row[j] = row[j] - q * krow[j]
+                            row[j] = sub(row[j], mul(q, krow[j]))
             for j in range(k + 1, n):
                 if krow[j]:
-                    q, krow[j] = divmod(krow[j], pivot)
+                    q, krow[j] = divmod_(krow[j], pivot)
                     for row in a[k + 1 :]:
                         if row[k]:
-                            row[j] = row[j] - q * row[k]
+                            row[j] = sub(row[j], mul(q, row[k]))
             if not any(krow[k + 1 :]) and not any(row[k] for row in a[k + 1 :]):
                 break
     d = [a[k][k] for k in range(n)]
     for i in range(n):  # phase 2: a unit d[i] already divides the rest
         for j in range(i + 1, n):
-            if d[i].degree == 0:
+            if size(d[i]) == 1:
                 break
-            g = poly_gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] * d[j] // g
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
+    if packed:
+        d = [Poly(_unpack_bits(f, f.bit_length()), 2) for f in d]
     # from a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
     return SnfResult(tuple([f.monic() for f in d]))

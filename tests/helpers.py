@@ -13,7 +13,8 @@ from itertools import product
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly
+from lightsout.gfpoly import Poly, poly_gcd
+from lightsout.snf import SnfResult
 
 
 def random_symmetric01(n: int, rng: random.Random) -> list[list[int]]:
@@ -118,3 +119,57 @@ def echelon_bits_by_columns(rows, ncols, reduced=True):
         pivots.append(c)
         r += 1
     return out, pivots
+
+
+def smith_normal_form_on_polys(M) -> SnfResult:
+    """Two-phase Smith form with Poly arithmetic throughout: the reference.
+
+    ``snf.smith_normal_form`` packs GF(2) entries into ints and runs the same
+    loop on int operations; its invariant factors must match these exactly.
+    """
+    a = [list(row) for row in M]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("Smith normal form is implemented for square matrices")
+    for k in range(n):  # phase 1: diagonalize
+        while True:
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    size = len(a[i][j].coeffs)
+                    if size and (best is None or size < best[0]):
+                        best = (size, i, j)
+                if best and best[0] == 1:
+                    break
+            if best is None:
+                raise ValueError(
+                    f"zero determinant: diagonal entry {k+1} of {n} would vanish"
+                )
+            _, bi, bj = best
+            a[k], a[bi] = a[bi], a[k]
+            for row in a[k:]:
+                row[k], row[bj] = row[bj], row[k]
+            krow = a[k]
+            pivot = krow[k]
+            for row in a[k + 1 :]:
+                if row[k]:
+                    q, row[k] = divmod(row[k], pivot)
+                    for j in range(k + 1, n):
+                        if krow[j]:
+                            row[j] = row[j] - q * krow[j]
+            for j in range(k + 1, n):
+                if krow[j]:
+                    q, krow[j] = divmod(krow[j], pivot)
+                    for row in a[k + 1 :]:
+                        if row[k]:
+                            row[j] = row[j] - q * row[k]
+            if not any(krow[k + 1 :]) and not any(row[k] for row in a[k + 1 :]):
+                break
+    d = [a[k][k] for k in range(n)]
+    for i in range(n):  # phase 2: a unit d[i] already divides the rest
+        for j in range(i + 1, n):
+            if d[i].degree == 0:
+                break
+            g = poly_gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return SnfResult(tuple([f.monic() for f in d]))

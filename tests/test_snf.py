@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import poly_det_cofactor, random_symmetric01
+from helpers import (
+    poly_det_cofactor,
+    random_matrix01,
+    random_symmetric01,
+    smith_normal_form_on_polys,
+)
 from lightsout import gfmat, snf
 from lightsout.game import (
     path_graph,
@@ -123,6 +128,20 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="zero determinant"):
             snf.smith_normal_form([[x, x], [x, x]])
 
+    def test_non_poly_entry_rejected(self):
+        with pytest.raises(TypeError, match="int"):
+            snf.smith_normal_form([[1]])
+        with pytest.raises(TypeError):
+            snf.smith_normal_form([[P("x"), P("0")], [0, P("x + 1")]])
+
+    def test_mixed_fields_rejected(self):
+        # packing a GF(3) coefficient 2 as bits would corrupt the result
+        zero3 = Poly.zero(3)
+        with pytest.raises(ValueError, match="field mismatch"):
+            snf.smith_normal_form([[P("x"), zero3], [zero3, P("x + 1")]])
+        with pytest.raises(ValueError, match="field mismatch"):
+            snf.smith_normal_form([[P("x", 3), P("0")], [P("0"), P("x + 1")]])
+
     def test_divisibility_chain_and_degree_sum(self):
         rng = random.Random(61)
         for p in (2, 3, 5):
@@ -194,6 +213,72 @@ class TestSmithNormalForm:
             for q, mode in ((x, "open"), (P("x + 1"), "closed")):
                 divisible = sum(1 for f in s.invariant_factors if (f % q).is_zero)
                 assert divisible == gfmat.rank_nullity(switching_matrix(g, mode)).nullity
+
+
+def from_bits(v: int) -> Poly:
+    return Poly([(v >> i) & 1 for i in range(v.bit_length())], 2)
+
+
+class TestPackedGF2:
+    """The GF(2) route on packed ints against the Poly-only reference loop."""
+
+    def assert_matches_reference(self, M):
+        rows = [list(row) for row in M]
+        assert str(snf.smith_normal_form(M)) == str(smith_normal_form_on_polys(M))
+        assert M == rows
+
+    def test_char_matrices_match_reference(self):
+        rng = random.Random(83)
+        for n in range(13):
+            for _ in range(3):
+                for rows in (random_symmetric01(n, rng), random_matrix01(n, n, rng)):
+                    A = PrimeFieldMatrix(rows, 2)
+                    for B in (A, A + PrimeFieldMatrix.identity(n, 2)):
+                        self.assert_matches_reference(snf.char_matrix(B))
+
+    def test_nonsingular_degree3_entries_match_reference(self):
+        # entries of degree <= 3 give non-unit pivots with nonzero remainders,
+        # which xI - A rarely has; a singular draw must fail the same way
+        rng = random.Random(89)
+        nonsingular = 0
+        for n in range(1, 7):
+            for _ in range(15):
+                M = [[from_bits(rng.getrandbits(4)) for _ in range(n)] for _ in range(n)]
+                try:
+                    expected = str(smith_normal_form_on_polys(M))
+                except ValueError:
+                    with pytest.raises(ValueError, match="zero determinant"):
+                        snf.smith_normal_form(M)
+                    continue
+                assert str(snf.smith_normal_form(M)) == expected
+                nonsingular += 1
+        assert nonsingular > 60
+
+    def test_48_vertex_graph_matches_reference(self):
+        A = switching_matrix(random_graph(48, random.Random(97)))
+        self.assert_matches_reference(snf.char_matrix(A))
+
+    def test_int_helpers_match_poly_arithmetic(self):
+        rng = random.Random(101)
+        operands = [0, 1, 0b10, 0b11] + [
+            rng.getrandbits(rng.randint(1, 101)) for _ in range(60)
+        ]
+        for a in operands:
+            for b in rng.sample(operands, 12) + [0, 1]:
+                fa, fb = from_bits(a), from_bits(b)
+                assert from_bits(snf._mul2(a, b)) == fa * fb
+                assert from_bits(snf._gcd2(a, b)) == poly_gcd(fa, fb)
+                if b:
+                    q, r = snf._divmod2(a, b)
+                    assert (from_bits(q), from_bits(r)) == divmod(fa, fb)
+        assert max(operands).bit_length() > 64
+
+    def test_int_division_by_zero_raises(self):
+        for a in (0, 1, 0b1011):
+            with pytest.raises(ZeroDivisionError):
+                snf._divmod2(a, 0)
+            with pytest.raises(ZeroDivisionError):
+                divmod(from_bits(a), Poly.zero(2))
 
 
 class TestCharpolyRoutes:
