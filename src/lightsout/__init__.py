@@ -4,7 +4,7 @@ Layout:
 
 - ``gfmat``: dense matrices over GF(p), rank/nullity/solve/kernel, Kronecker
   products and the product-game (Sylvester) operator; GF(2) rows are
-  bit-packed and reduced by a compiled kernel when available.
+  bit-packed and reduced by the Four Russians kernel in ``_gf2kernel``.
 - ``gfpoly``: polynomials over GF(p), gcd, variable shift, factorization.
 - ``snf``: Smith normal form of xI - A, invariant factors, characteristic
   polynomial by two independent routes, Jordan-style factor data.

@@ -4,10 +4,10 @@ Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
 Whenever the elimination oracle fits under the size cap, both the formula
 value and the oracle value are reported with a match flag; disagreement is
 an invariant violation and exits 1.  Usage errors (unknown flags, flags the
-verb does not read, malformed graph specs, unreadable files, a non-prime
---p, a negative --max-oracle, an unwritable --csv path) exit 2.  Any other
-exception is an internal fault and exits 3.  An operator larger than
---max-oracle is never built: its row is marked ``skipped`` in every verb.
+verb does not read, malformed graph specs, unreadable or non-UTF-8 files, a
+non-prime --p, a negative --max-oracle, an unwritable --csv path) exit 2.
+Any other exception is an internal fault and exits 3.  An operator larger
+than --max-oracle is never built: its row is marked ``skipped`` in every verb.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
 n x n pairs computes n Smith forms in open mode and 2n in closed, not 2n^2.
@@ -337,30 +337,26 @@ def _parse_range(arg: str, default: tuple[int, int], what: str) -> tuple[int, in
     return int(lo), int(hi)
 
 
+# Sweep target -> (graph family, default LO-HI range); stars take odd sizes only.
+_SWEEP_FAMILIES = {
+    "stars": ("star", (3, 9)),
+    "paths": ("path", (2, 10)),
+    "cycles": ("cycle", (3, 10)),
+}
+
+
 def _sweep_pairs(target: str, seed: int):
     """Expand a sweep target into (gspec, hspec, G, H, extra) tuples."""
     kind, _, arg = target.partition(":")
     kind = kind.strip().lower()
-    if kind == "stars":
-        lo, hi = _parse_range(arg, (3, 9), "stars")
-        values = [v for v in range(lo, hi + 1) if v % 2 == 1]
-        for a in values:
-            for b in values:
-                yield f"star:{a}", f"star:{b}", game.star_graph(a), game.star_graph(b), {}
-    elif kind == "paths":
-        lo, hi = _parse_range(arg, (2, 10), "paths")
-        for a in range(lo, hi + 1):
-            for b in range(lo, hi + 1):
-                yield f"path:{a}", f"path:{b}", game.path_graph(a), game.path_graph(b), {}
-    elif kind == "cycles":
-        lo, hi = _parse_range(arg, (3, 10), "cycles")
-        if lo < 3:
-            raise GraphParseError(
-                f"cycles range {arg!r} starts below 3 (cycle:n needs n >= 3)"
-            )
-        for a in range(lo, hi + 1):
-            for b in range(lo, hi + 1):
-                yield f"cycle:{a}", f"cycle:{b}", game.cycle_graph(a), game.cycle_graph(b), {}
+    if kind in _SWEEP_FAMILIES:
+        family, default = _SWEEP_FAMILIES[kind]
+        lo, hi = _parse_range(arg, default, kind)
+        specs = [f"{family}:{v}" for v in range(lo, hi + 1) if kind != "stars" or v % 2]
+        graphs = [game.build_family(spec) for spec in specs]
+        for gspec, g in zip(specs, graphs):
+            for hspec, h in zip(specs, graphs):
+                yield gspec, hspec, g, h, {}
     elif kind == "random":
         count = RANDOM_PAIR_COUNT
         if arg:

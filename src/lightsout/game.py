@@ -199,7 +199,7 @@ def read_graph_file(path: str) -> Graph:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read graph file {path!r}: {exc}") from None
     return parse_graph_text(text, source=path)
 

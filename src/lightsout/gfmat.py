@@ -1,8 +1,9 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices over GF(2) are stored as bit-packed rows (one Python int per row)
-and reduced through the word-level XOR kernel in lightsout._gf2kernel; other
-primes use byte residues with schoolbook elimination.  The representation is
+and reduced by the pure-Python Four Russians kernel in lightsout._gf2kernel;
+other primes use residue rows with schoolbook elimination.  Every
+elimination goes through ``_echelon``.  The representation is
 internal: construction, indexing and equality behave identically for every
 modulus.
 
@@ -241,10 +242,12 @@ def _echelon_modp(rows, ncols, p, reduced):
     return out, pivots
 
 
-def _echelon(M: PrimeFieldMatrix, reduced: bool):
-    if M.p == 2:
-        return _gf2kernel.echelon_bits(M._data, M.cols, reduced=reduced)
-    return _echelon_modp(M._data, M.cols, M.p, reduced)
+def _echelon(rows, ncols: int, p: int, reduced: bool):
+    """Row-reduce packed rows (p = 2) or residue rows; returns (rows, pivots)."""
+    if p == 2:
+        # looked up at call time, so a wrapper bound on the module sees it
+        return _gf2kernel.echelon_bits(rows, ncols, reduced=reduced)
+    return _echelon_modp(rows, ncols, p, reduced)
 
 
 def _profile(M: PrimeFieldMatrix, pivots: list[int]) -> RankProfile:
@@ -255,14 +258,14 @@ def _profile(M: PrimeFieldMatrix, pivots: list[int]) -> RankProfile:
 
 def rref(M: PrimeFieldMatrix) -> tuple[PrimeFieldMatrix, RankProfile]:
     """Reduced row echelon form with its rank profile."""
-    data, pivots = _echelon(M, reduced=True)
+    data, pivots = _echelon(M._data, M.cols, M.p, reduced=True)
     R = PrimeFieldMatrix._packed(M.rows, M.cols, M.p, data)
     return R, _profile(M, pivots)
 
 
 def rank_nullity(M: PrimeFieldMatrix) -> RankProfile:
     """Rank profile only; skips back-substitution."""
-    _, pivots = _echelon(M, reduced=False)
+    _, pivots = _echelon(M._data, M.cols, M.p, reduced=False)
     return _profile(M, pivots)
 
 
@@ -278,10 +281,9 @@ def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     n = M.cols
     if p == 2:
         aug = [row | ((v & 1) << n) for row, v in zip(M._data, b)]
-        data, pivots = _gf2kernel.echelon_bits(aug, n + 1, reduced=False)
     else:
         aug = [row + [v % p] for row, v in zip(M._data, b)]
-        data, pivots = _echelon_modp(aug, n + 1, p, reduced=False)
+    data, pivots = _echelon(aug, n + 1, p, reduced=False)
     if pivots and pivots[-1] == n:
         return None
     # Pivot rows have a 1 in their pivot column and 0 left of it; fill the
@@ -324,16 +326,12 @@ def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix | None:
     p = M.p
     if p == 2:
         aug = [M._data[i] | (1 << (n + i)) for i in range(n)]
-        data, pivots = _gf2kernel.echelon_bits(aug, 2 * n, reduced=True)
-        if len(pivots) < n or pivots[n - 1] != n - 1:
-            return None
-        out = [row >> n for row in data]
     else:
         aug = [M._data[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        data, pivots = _echelon_modp(aug, 2 * n, p, reduced=True)
-        if len(pivots) < n or pivots[n - 1] != n - 1:
-            return None
-        out = [row[n:] for row in data]
+    data, pivots = _echelon(aug, 2 * n, p, reduced=True)
+    if len(pivots) < n or pivots[n - 1] != n - 1:
+        return None
+    out = [row >> n for row in data] if p == 2 else [row[n:] for row in data]
     return PrimeFieldMatrix._packed(n, n, p, out)
 
 

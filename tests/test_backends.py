@@ -1,27 +1,20 @@
-"""Parity of the GF(2) kernels: the pure kernel against the column-at-a-time
-reference, and the compiled kernel against the pure one."""
+"""The GF(2) elimination kernel: parity with the column-at-a-time reference,
+and the module binding through which gfmat reaches it."""
 
 import random
 
 import pytest
 
 from helpers import echelon_bits_by_columns, random_symmetric01
-from lightsout import _gf2kernel, _gf2pure, gfmat
-from lightsout._gf2kernel import available_backends
+import lightsout
+from lightsout import _gf2kernel, gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-
-
-def random_case(rng):
-    m = rng.randint(0, 24)
-    n = rng.randint(1, 130)
-    rows = [rng.getrandbits(n) for _ in range(m)]
-    return rows, n
 
 
 def assert_matches_reference(rows, ncols):
     snapshot = list(rows)
     for reduced in (True, False):
-        got = _gf2pure.echelon_bits(rows, ncols, reduced)
+        got = _gf2kernel.echelon_bits(rows, ncols, reduced)
         assert rows == snapshot, "input rows were mutated"
         assert got == echelon_bits_by_columns(rows, ncols, reduced), (len(rows), ncols, reduced)
 
@@ -54,7 +47,7 @@ class TestPureKernel:
     @pytest.mark.parametrize("kind", ["dense", "sparse", "combined"])
     def test_matches_column_reference_across_cutover(self, kind):
         rng = random.Random(f"parity-{kind}")
-        cut = _gf2pure.TABLE_MIN_ROWS
+        cut = _gf2kernel.TABLE_MIN_ROWS
         counts = [*range(0, 41), *range(cut - 3, cut + 4), *range(250, 301, 10), 600]
         for m in counts:
             # Wide, square-ish and tall shapes; column counts off the stripe width.
@@ -76,55 +69,51 @@ class TestPureKernel:
         assert_matches_reference(list(op._data), op.cols)
 
     def test_known_reduction(self):
-        rows, pivots = _gf2pure.echelon_bits([0b11, 0b11], 2)
+        rows, pivots = _gf2kernel.echelon_bits([0b11, 0b11], 2)
         assert rows == [0b11, 0] and pivots == [0]
 
     def test_reduced_clears_above(self):
         # rows: [1 1], [0 1] -> RREF [1 0], [0 1]
-        rows, pivots = _gf2pure.echelon_bits([0b11, 0b10], 2)
+        rows, pivots = _gf2kernel.echelon_bits([0b11, 0b10], 2)
         assert rows == [0b01, 0b10] and pivots == [0, 1]
 
     def test_forward_only_keeps_upper_entries(self):
-        rows, pivots = _gf2pure.echelon_bits([0b11, 0b10], 2, reduced=False)
+        rows, pivots = _gf2kernel.echelon_bits([0b11, 0b10], 2, reduced=False)
         assert rows == [0b11, 0b10] and pivots == [0, 1]
 
     def test_empty_inputs(self):
-        assert _gf2pure.echelon_bits([], 5) == ([], [])
-        assert _gf2pure.echelon_bits([0, 0], 0) == ([0, 0], [])
+        assert _gf2kernel.echelon_bits([], 5) == ([], [])
+        assert _gf2kernel.echelon_bits([0, 0], 0) == ([0, 0], [])
 
 
-@pytest.mark.skipif(
-    _gf2kernel.BACKEND != "compiled", reason="compiled kernel not built"
-)
-class TestCompiledKernel:
-    def test_matches_pure_on_random_cases(self):
-        compiled = available_backends()["compiled"]
-        rng = random.Random(2024)
-        for _ in range(300):
-            rows, n = random_case(rng)
-            for reduced in (True, False):
-                assert compiled(list(rows), n, reduced) == _gf2pure.echelon_bits(
-                    list(rows), n, reduced
-                )
+class TestKernelBinding:
+    """gfmat must call ``_gf2kernel.echelon_bits`` through the module: the
+    benchmark tracer wraps that binding, and a copied reference would hide
+    every elimination from it."""
 
-    def test_matches_pure_on_wide_rows(self):
-        compiled = available_backends()["compiled"]
-        rng = random.Random(2025)
-        for n in (63, 64, 65, 127, 128, 129, 512):
-            rows = [rng.getrandbits(n) for _ in range(20)]
-            assert compiled(list(rows), n, True) == _gf2pure.echelon_bits(
-                list(rows), n, True
-            )
+    def test_every_gf2_elimination_reaches_the_module_binding(self, monkeypatch):
+        calls = []
+        original = _gf2kernel.echelon_bits
 
-    def test_edge_shapes(self):
-        compiled = available_backends()["compiled"]
-        assert compiled([], 5, True) == ([], [])
-        assert compiled([0, 0], 0, True) == ([0, 0], [])
-        assert compiled([1], 1, True) == ([1], [0])
+        def counted(rows, ncols, reduced=True):
+            calls.append(ncols)
+            return original(rows, ncols, reduced)
 
-    def test_input_rows_not_mutated(self):
-        compiled = available_backends()["compiled"]
-        rows = [0b101, 0b110, 0b011]
-        snapshot = list(rows)
-        compiled(rows, 3, True)
-        assert rows == snapshot
+        monkeypatch.setattr(_gf2kernel, "echelon_bits", counted)
+        for p, expected in ((2, 1), (3, 0)):
+            M = PrimeFieldMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]], p)
+            operations = {
+                "rank_nullity": lambda: gfmat.rank_nullity(M),
+                "rref": lambda: gfmat.rref(M),
+                "solve": lambda: gfmat.solve(M, (1, 0, 1)),
+                "inverse": lambda: gfmat.inverse(M),
+                "kernel_basis": lambda: gfmat.kernel_basis(M),
+            }
+            for name, operation in operations.items():
+                calls.clear()
+                operation()
+                assert len(calls) == expected, (name, p)
+
+    def test_pure_kernel_is_the_only_backend(self):
+        assert _gf2kernel.available_backends() == {"pure": _gf2kernel.echelon_bits}
+        assert lightsout.BACKEND == "pure"

@@ -106,6 +106,12 @@ class TestExitCodes:
         assert cli.run(["sweep", "paths:9-3"]) == (2, None)
         assert "reversed paths range '9-3'" in capsys.readouterr().err
 
+    def test_non_utf8_graph_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe3\x00\n\x00")
+        assert cli.run(["nullity", "--g", f"file:{path}", "--h", "path:2"]) == (2, None)
+        assert "cannot read graph file" in capsys.readouterr().err
+
     def test_cycles_range_below_three_is_usage_error(self, capsys):
         assert cli.run(["sweep", "cycles:1-2"]) == (2, None)
         assert "cycle:n needs n >= 3" in capsys.readouterr().err
