@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
-Whenever the elimination oracle fits under the size cap, both the formula
-value and the oracle value are reported with a match flag; disagreement is
-an invariant violation and exits 1.  Usage errors (unknown flags, flags the
-verb does not read, malformed graph specs, unreadable or non-UTF-8 files, a
-non-prime --p, a negative --max-oracle, an unwritable --csv path) exit 2.
-Any other exception is an internal fault and exits 3.  An operator larger
-than --max-oracle is never built: its row is marked ``skipped`` in every verb.
+A handler only builds its report's rows and notes.  Every comparison row
+carries a verdict column: ``match`` (charpoly), ``oracle_match`` (formula
+against the elimination oracle) and ``bound_holds`` (gcd bound).  One step
+in ``run`` then copies each row that reads ``mismatch`` or ``violated`` into
+the violations, adds one note counting the rows skipped over the oracle cap,
+and exits 1 exactly when the violations are non-empty.  Usage errors
+(unknown flags, flags the verb does not read, malformed graph specs,
+unreadable or non-UTF-8 files, a non-prime --p, a negative --max-oracle, an
+unwritable --csv path) exit 2.  Any other exception is an internal fault
+and exits 3.  An operator larger than --max-oracle is never built: its row
+is marked ``skipped`` in every verb.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
 n x n pairs computes n Smith forms in open mode and 2n in closed, not 2n^2.
@@ -65,15 +69,16 @@ class Report:
 # -- output ----------------------------------------------------------------
 
 
+def _cells(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
+    """The columns of rows in first-seen order, and each row's cells as text."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    return columns, [[str(row.get(c, "")) for c in columns] for row in rows]
+
+
 def _format_table(rows: list[dict]) -> str:
     if not rows:
         return "(no results)"
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    cells = [[str(row.get(c, "")) for c in columns] for row in rows]
+    columns, cells = _cells(rows)
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)
     ]
@@ -95,17 +100,12 @@ def _emit(report: Report, args) -> None:
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns, cells = _cells(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if columns:
             writer.writerow(columns)
-        for row in rows:
-            writer.writerow([str(row.get(c, "")) for c in columns])
+        writer.writerows(cells)
 
 
 # -- shared computation ------------------------------------------------------
@@ -123,6 +123,13 @@ def _oracle(A, B, cap: int, compute=None):
     if compute is None:
         return formulas.oracle_nullity(A, B, max_dim=cap)
     return compute(A, B)
+
+
+def _match(oracle, value) -> str:
+    """A row's oracle_match: "skipped" over the cap, else whether oracle == value."""
+    if oracle == "skipped":
+        return "skipped"
+    return "ok" if oracle == value else "mismatch"
 
 
 #: A factor graph's (switching matrix, invariant factors, characteristic
@@ -181,28 +188,13 @@ def _product_row(
         nullity_formula=value,
         lower_bound=bound,
         nullity_oracle=oracle,
+        oracle_match=_match(oracle, value),
+        bound_holds="ok" if bound <= (value if oracle == "skipped" else oracle) else "violated",
     )
-    if oracle == "skipped":
-        row["oracle_match"] = "skipped"
-        row["bound_holds"] = "ok" if bound <= value else "violated"
-    else:
-        row["oracle_match"] = "ok" if oracle == value else "mismatch"
-        row["bound_holds"] = "ok" if bound <= oracle else "violated"
     if charpolys:
         row["charpoly_g"] = str(shift_one(ca) if mode == "closed" else ca)
         row["charpoly_h"] = str(cb)
     return row
-
-
-def _note_skipped(report: Report, column: str) -> None:
-    skipped = sum(1 for r in report.results if r.get(column) == "skipped")
-    if skipped:
-        report.notes.append(f"{skipped} rows exceeded the oracle cap and were skipped")
-
-
-def _collect_row_violations(row: dict, violations: list[dict]) -> None:
-    if row.get("oracle_match") == "mismatch" or row.get("bound_holds") == "violated":
-        violations.append(dict(row))
 
 
 def _presses_string(bits: Sequence[int]) -> str:
@@ -212,77 +204,55 @@ def _presses_string(bits: Sequence[int]) -> str:
 # -- handlers ----------------------------------------------------------------
 
 
-def _cmd_charpoly(args) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
+def _cmd_charpoly(args) -> Report:
     g = game.build_family(args.g)
     M, _, via_snf = _factor({}, g, args.mode, args.p)
     via_oracle = snf.charpoly_oracle(M, args.p)
-    match = via_snf == via_oracle
-    report.results.append(
-        {
-            "g": args.g,
-            "mode": args.mode,
-            "p": args.p,
-            "n": g.vertex_count,
-            "charpoly_snf": str(via_snf),
-            "charpoly_oracle": str(via_oracle),
-            "match": "ok" if match else "mismatch",
-        }
-    )
-    if not match:
-        report.violations.append(dict(report.results[0]))
-    return (0 if match else 1), report
+    row = {
+        "g": args.g,
+        "mode": args.mode,
+        "p": args.p,
+        "n": g.vertex_count,
+        "charpoly_snf": str(via_snf),
+        "charpoly_oracle": str(via_oracle),
+        "match": "ok" if via_snf == via_oracle else "mismatch",
+    }
+    return Report(args.command_echo, results=[row])
 
 
-def _cmd_snf(args) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
+def _cmd_snf(args) -> Report:
     g = game.build_family(args.g)
     _, s, c = _factor({}, g, args.mode, args.p)
-    report.results.append(
-        {
-            "g": args.g,
-            "mode": args.mode,
-            "p": args.p,
-            "n": g.vertex_count,
-            "invariant_factors": str(s),
-            "charpoly": str(c),
-        }
-    )
-    return 0, report
+    row = {
+        "g": args.g,
+        "mode": args.mode,
+        "p": args.p,
+        "n": g.vertex_count,
+        "invariant_factors": str(s),
+        "charpoly": str(c),
+    }
+    return Report(args.command_echo, results=[row])
 
 
-def _cmd_nullity(args, charpolys: bool = False) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
+def _cmd_nullity(args, charpolys: bool = False) -> Report:
     memo: dict = {}
     fa = _factor(memo, game.build_family(args.g), args.mode, args.p)
     fb = _factor(memo, game.build_family(args.h), "open", args.p)
     row = _product_row(
         args.g, args.h, fa, fb, args.mode, args.p, args.max_oracle, charpolys=charpolys
     )
-    report.results.append(row)
-    _collect_row_violations(row, report.violations)
-    return (1 if report.violations else 0), report
+    return Report(args.command_echo, results=[row])
 
 
-def _cmd_bound(args) -> tuple[int, Report]:
-    return _cmd_nullity(args, charpolys=True)
-
-
-def _cmd_counts(args) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
+def _cmd_counts(args) -> Report:
     g = game.build_family(args.g)
     r, nu = game.count_exponents(g, args.mode)
-    report.results.append(
-        {"g": args.g, "mode": args.mode, "n": g.vertex_count, "r": r, "nu": nu}
-    )
-    report.notes.append(
-        f"2^{r} solvable configurations, 2^{nu} press sets for each"
-    )
-    return 0, report
+    row = {"g": args.g, "mode": args.mode, "n": g.vertex_count, "r": r, "nu": nu}
+    note = f"2^{r} solvable configurations, 2^{nu} press sets for each"
+    return Report(args.command_echo, results=[row], notes=[note])
 
 
-def _cmd_solve(args) -> tuple[int, Report]:
-    report = Report(command=args.command_echo)
+def _cmd_solve(args) -> Report:
     g = game.build_family(args.g)
     if args.h is None:
         inst = game.LightsInstance(g, args.mode, (1,) * g.vertex_count)
@@ -296,8 +266,7 @@ def _cmd_solve(args) -> tuple[int, Report]:
             "presses": _presses_string(sol.presses) if sol else "-",
             "solution_exponent": sol.count_exponent if sol else "-",
         }
-        report.results.append(row)
-        return 0, report
+        return Report(args.command_echo, results=[row])
     h = game.build_family(args.h)
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
@@ -322,8 +291,7 @@ def _cmd_solve(args) -> tuple[int, Report]:
             else "-",
             solution_exponent=nu if X is not None else "-",
         )
-    report.results.append(row)
-    return 0, report
+    return Report(args.command_echo, results=[row])
 
 
 def _parse_range(arg: str, default: tuple[int, int], what: str) -> tuple[int, int]:
@@ -377,7 +345,7 @@ def _sweep_pairs(target: str, seed: int):
         )
 
 
-def _sweep(args, mode: str, p: int, target: str) -> tuple[int, Report]:
+def _sweep(args, mode: str, p: int, target: str) -> Report:
     randomized = target.partition(":")[0] == "random"
     report = Report(command=args.command_echo, seed=args.seed if randomized else None)
     memo: dict = {}
@@ -385,25 +353,18 @@ def _sweep(args, mode: str, p: int, target: str) -> tuple[int, Report]:
         if randomized:
             extra = {**extra, "seed": args.seed}
         fa, fb = _factor(memo, g, mode, p), _factor(memo, h, "open", p)
-        row = _product_row(gspec, hspec, fa, fb, mode, p, args.max_oracle, extra)
-        report.results.append(row)
-        _collect_row_violations(row, report.violations)
-    _note_skipped(report, "oracle_match")
-    return (1 if report.violations else 0), report
+        report.results.append(_product_row(gspec, hspec, fa, fb, mode, p, args.max_oracle, extra))
+    return report
 
 
-def _cmd_sweep(args) -> tuple[int, Report]:
-    return _sweep(args, args.mode, args.p, args.target)
-
-
-def _verify_conjecture(args, mode: str) -> tuple[int, Report]:
+def _verify_conjecture(args, mode: str) -> Report:
     """The random sweep over GF(2), plus how often the bound held."""
-    code, report = _sweep(args, mode, 2, "random")
+    report = _sweep(args, mode, 2, "random")
     ok = sum(1 for r in report.results if r["bound_holds"] == "ok")
     report.notes.append(
         f"bound held on {ok}/{len(report.results)} pairs in {mode} mode"
     )
-    return code, report
+    return report
 
 
 def _random_partition(rng: random.Random, total: int) -> tuple[int, ...]:
@@ -416,7 +377,7 @@ def _random_partition(rng: random.Random, total: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _verify_lemma(args) -> tuple[int, Report]:
+def _verify_lemma(args) -> Report:
     report = Report(command=args.command_echo, seed=args.seed)
     rng = random.Random(args.seed)
     inequality_violations = 0
@@ -449,16 +410,16 @@ def _verify_lemma(args) -> tuple[int, Report]:
         }
     )
     if condition_mismatches:
+        held = "" if inequality_violations else "the min-sum inequality held everywhere, but "
         report.notes.append(
-            "the min-sum inequality held everywhere, but the stated "
-            "equality condition ((k=1 or l=1) and r=s) does not characterize "
-            "equality; counterexamples follow"
+            held + "the stated equality condition ((k=1 or l=1) and r=s) does not "
+            "characterize equality; counterexamples follow"
         )
         for pi, tau, value, floor in condition_mismatches[:5]:
             report.notes.append(
                 f"  pi={list(pi)} tau={list(tau)}: min_sum={value}, min(r,s)={floor}"
             )
-    return (1 if inequality_violations else 0), report
+    return report
 
 
 def _x_multiplicity(f: Poly) -> int:
@@ -478,7 +439,7 @@ def _piecewise_star_path(symbol: int, nu: int) -> int:
     return symbol
 
 
-def _verify_example_star_path(args) -> tuple[int, Report]:
+def _verify_example_star_path(args) -> Report:
     report = Report(command=args.command_echo)
     readings = [
         "nullity_as_written",
@@ -486,48 +447,46 @@ def _verify_example_star_path(args) -> tuple[int, Report]:
         "nullity_swapped",
         "multiplicity_swapped",
     ]
+    memo: dict = {}
+    paths = {}  # m -> (switching matrix, its GF(2) nullity, multiplicity of x in c_path)
+    for m in range(1, 10):
+        a_path, _, c_path = _factor(memo, game.path_graph(m), "open", 2)
+        paths[m] = (a_path, gfmat.rank_nullity(a_path).nullity, _x_multiplicity(c_path))
     for n in (3, 5, 7, 9):
-        star = game.star_graph(n)
-        a_star = game.switching_matrix(star, "open")
-        s_star = snf.invariant_factors(a_star)
-        for m in range(1, 10):
-            path = game.path_graph(m)
-            a_path = game.switching_matrix(path, "open")
+        a_star, s_star, _ = _factor(memo, game.star_graph(n), "open", 2)
+        for m, (a_path, nu_nullity, nu_mult) in paths.items():
             value = formulas.nullity_path_product(m, s_star)
             oracle = _oracle(a_star, a_path, args.max_oracle)
-            nu_nullity = gfmat.rank_nullity(a_path).nullity
-            nu_mult = _x_multiplicity(snf.charpoly_oracle(a_path, 2))
-            row = {
-                "n": n,
-                "m": m,
-                "oracle": oracle,
-                "formula": value,
-                "nullity_as_written": _piecewise_star_path(m, nu_nullity),
-                "multiplicity_as_written": _piecewise_star_path(m, nu_mult),
-                "nullity_swapped": _piecewise_star_path(n, nu_nullity),
-                "multiplicity_swapped": _piecewise_star_path(n, nu_mult),
-            }
-            report.results.append(row)
-            if oracle not in ("skipped", value):
-                report.violations.append(dict(row))
+            report.results.append(
+                {
+                    "n": n,
+                    "m": m,
+                    "oracle": oracle,
+                    "formula": value,
+                    "oracle_match": _match(oracle, value),
+                    "nullity_as_written": _piecewise_star_path(m, nu_nullity),
+                    "multiplicity_as_written": _piecewise_star_path(m, nu_mult),
+                    "nullity_swapped": _piecewise_star_path(n, nu_nullity),
+                    "multiplicity_swapped": _piecewise_star_path(n, nu_mult),
+                }
+            )
     checked = [row for row in report.results if row["oracle"] != "skipped"]
-    matching = [
-        name for name in readings if all(row[name] == row["oracle"] for row in checked)
-    ]
     if checked:
+        matching = [
+            name for name in readings if all(row[name] == row["oracle"] for row in checked)
+        ]
         report.notes.append(
             "oracle agrees with reading(s): " + ", ".join(matching)
             if matching
             else "oracle agrees with none of the four readings"
         )
-    for name in readings:
-        misses = sum(1 for row in checked if row[name] != row["oracle"])
-        report.notes.append(f"reading {name}: {misses} mismatched rows")
-    _note_skipped(report, "oracle")
-    return (1 if report.violations else 0), report
+        for name in readings:
+            misses = sum(1 for row in checked if row[name] != row["oracle"])
+            report.notes.append(f"reading {name}: {misses} mismatched rows")
+    return report
 
 
-def _cmd_verify(args) -> tuple[int, Report]:
+def _cmd_verify(args) -> Report:
     kind, _, mode = args.target.partition("-")
     if kind == "conjecture":
         return _verify_conjecture(args, mode)
@@ -540,10 +499,10 @@ _HANDLERS = {
     "charpoly": _cmd_charpoly,
     "snf": _cmd_snf,
     "nullity": _cmd_nullity,
-    "bound": _cmd_bound,
+    "bound": lambda args: _cmd_nullity(args, charpolys=True),
     "solve": _cmd_solve,
     "counts": _cmd_counts,
-    "sweep": _cmd_sweep,
+    "sweep": lambda args: _sweep(args, args.mode, args.p, args.target),
     "verify": _cmd_verify,
 }
 
@@ -636,16 +595,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _judge(report: Report) -> int:
+    """Add the rows that fail their check to violations; 1 if any violation, else 0.
+
+    A row fails when its ``match`` or ``oracle_match`` reads ``mismatch`` or
+    its ``bound_holds`` reads ``violated``.  Rows whose ``oracle_match`` reads
+    ``skipped`` are counted in one note after the handler's own notes.
+    """
+    for row in report.results:
+        verdicts = (row.get("match"), row.get("oracle_match"), row.get("bound_holds"))
+        if "mismatch" in verdicts or "violated" in verdicts:
+            report.violations.append(dict(row))
+    skipped = sum(1 for row in report.results if row.get("oracle_match") == "skipped")
+    if skipped:
+        report.notes.append(f"{skipped} rows exceeded the oracle cap and were skipped")
+    return 1 if report.violations else 0
+
+
 def run(argv: Sequence[str]) -> tuple[int, Report | None]:
     """Execute a command line; returns (exit code, report).
 
-    Exit codes: 0 success; 1 violated invariant (formula/oracle mismatch or
-    bound violation); 2 usage error (bad flags, a malformed graph spec or
-    graph file, a reversed sweep range or a cycles range below 3, a --p that
-    is not prime, a negative --max-oracle, an unwritable --csv path); 3
-    internal fault (any other exception, reported on stderr as ``error:
-    internal ...`` and its traceback).  The report is None when no handler
-    ran to the end.
+    Each handler builds its report's rows and notes; ``_judge`` then moves
+    every failed row into violations and notes the skipped rows.  Exit codes:
+    0 success; 1 exactly when violations is non-empty (a formula/oracle or
+    charpoly mismatch, a bound violation, or a ``verify lemma`` trial where
+    the min-sum inequality fails); 2 usage error (bad flags, a malformed
+    graph spec or graph file, a reversed sweep range or a cycles range below
+    3, a --p that is not prime, a negative --max-oracle, an unwritable --csv
+    path); 3 internal fault (any other exception, reported on stderr as
+    ``error: internal ...`` and its traceback).  The report is None when no
+    handler ran to the end.
     """
     try:
         args = build_parser().parse_args(list(argv))
@@ -660,7 +639,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
             print(f"error: {exc}", file=sys.stderr)
             return 2, None
     try:
-        code, report = _HANDLERS[args.verb](args)
+        report = _HANDLERS[args.verb](args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
@@ -668,6 +647,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3, None
+    code = _judge(report)
     _emit(report, args)
     if getattr(args, "csv", None):
         try:

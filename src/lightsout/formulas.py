@@ -91,8 +91,8 @@ def path_adjacency(m: int) -> list[list[int]]:
 def nullity_path_product(m: int, sg: SnfResult) -> int:
     """Nullity of the path-by-G product operator over GF(2).
 
-    Paths are non-derogatory, so only the characteristic polynomial of the
-    path enters: sum of deg gcd(c_path, s_i) over G's invariant factors.
+    Paths are non-derogatory, so the path's invariant factors are 1, ..., 1,
+    c_path and only c_path enters the double sum of nullity_snf_product.
     """
     if m < 1:
         raise ValueError("paths have at least one vertex")
@@ -100,11 +100,7 @@ def nullity_path_product(m: int, sg: SnfResult) -> int:
     if p is None:
         return 0
     c_path = charpoly_oracle(path_adjacency(m), p)
-    return sum(
-        poly_gcd(c_path, si).degree or 0
-        for si in sg.invariant_factors
-        if si.degree
-    )
+    return nullity_snf_product(SnfResult((c_path,)), sg)
 
 
 def gcd_lower_bound(ca: Poly, cb: Poly, mode: str = "open") -> int:

@@ -12,6 +12,7 @@ import pytest
 
 import lightsout
 from lightsout import cli, formulas, game, gfmat, snf
+from lightsout.gfpoly import Poly
 
 
 SCHEMA = json.load(open("docs/report_schema.json", encoding="utf-8"))
@@ -122,6 +123,114 @@ class TestExitCodes:
         code, _ = cli.run(["--help"])
         capsys.readouterr()
         assert code == 0
+
+
+def _off_by_one_where(original, wrong):
+    """oracle_nullity that adds 1 whenever wrong(A, B) holds."""
+    return lambda A, B, **kw: original(A, B, **kw) + bool(wrong(A, B))
+
+
+#: verb -> (argv, module, name to patch, patch from the original, rows the patch fails)
+VERDICT_CASES = {
+    "charpoly": (
+        ["charpoly", "--g", "petersen"],
+        snf,
+        "charpoly_oracle",
+        lambda f: lambda M, p: Poly((1,), p),
+        lambda row: True,
+    ),
+    "nullity": (
+        ["nullity", "--g", "path:3", "--h", "cycle:4"],
+        formulas,
+        "oracle_nullity",
+        lambda f: _off_by_one_where(f, lambda A, B: True),
+        lambda row: True,
+    ),
+    "bound": (
+        ["bound", "--g", "petersen", "--h", "path:4"],
+        formulas,
+        "gcd_lower_bound",
+        lambda f: lambda *args: 999,
+        lambda row: True,
+    ),
+    "sweep": (
+        ["sweep", "paths:2-4"],
+        formulas,
+        "oracle_nullity",
+        lambda f: _off_by_one_where(f, lambda A, B: A.rows == 3),
+        lambda row: row["g"] == "path:3",
+    ),
+    "verify-conjecture": (
+        ["verify", "conjecture-closed", "--seed", "4"],
+        formulas,
+        "oracle_nullity",
+        lambda f: _off_by_one_where(f, lambda A, B: B.rows == 3),
+        lambda row: row["h"].endswith("(n=3)"),
+    ),
+    "verify-example2": (
+        ["verify", "example2"],
+        formulas,
+        "oracle_nullity",
+        lambda f: _off_by_one_where(f, lambda A, B: B.rows == 2),
+        lambda row: row["m"] == 2,
+    ),
+}
+
+
+class TestVerdicts:
+    """One rule on every comparison verb: the failed rows are the violations, and exit 1."""
+
+    @pytest.mark.parametrize("verb", VERDICT_CASES)
+    def test_failed_rows_are_exactly_the_violations(self, verb, capsys, monkeypatch):
+        argv, module, name, patch, fails = VERDICT_CASES[verb]
+        monkeypatch.setattr(cli, "RANDOM_PAIR_COUNT", 30)
+        code, report = cli.run(argv)
+        assert (code, report.violations) == (0, [])
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        code, report = cli.run(argv)
+        capsys.readouterr()
+        failing = [row for row in report.results if fails(row)]
+        assert code == 1
+        assert failing and report.violations == failing
+        for row in report.results:
+            verdicts = (row.get("match"), row.get("oracle_match"), row.get("bound_holds"))
+            assert ("mismatch" in verdicts or "violated" in verdicts) == (row in failing)
+
+    def test_lemma_failed_trials_are_the_violations(self, capsys, monkeypatch):
+        assert cli.run(["verify", "lemma"])[1].violations == []
+        original = formulas.partition_min_sum
+        monkeypatch.setattr(formulas, "partition_min_sum", lambda pi, tau: original(pi, tau) - 1)
+        code, report = cli.run(["verify", "lemma"])
+        capsys.readouterr()
+        assert code == 1
+        assert len(report.violations) == report.results[0]["inequality_violations"] > 0
+        assert all(v["min_sum"] < v["floor"] for v in report.violations)
+
+    def test_lemma_claims_the_inequality_held_only_when_it_did(self, capsys, monkeypatch):
+        original = formulas.partition_min_sum
+        monkeypatch.setattr(formulas, "partition_min_sum", lambda pi, tau: original(pi, tau) - 1)
+        _, report = cli.run(["verify", "lemma"])
+        capsys.readouterr()
+        assert report.results[0]["equality_condition_mismatches"] > 0
+        assert any("does not characterize equality" in note for note in report.notes)
+        assert not any("held everywhere" in note for note in report.notes)
+
+    def test_over_cap_rows_are_noted_after_the_handler_notes(self, capsys, monkeypatch):
+        _, report = cli.run(["nullity", "--g", "path:3", "--h", "path:3", "--max-oracle", "0"])
+        assert report.notes == ["1 rows exceeded the oracle cap and were skipped"]
+        monkeypatch.setattr(cli, "RANDOM_PAIR_COUNT", 30)
+        _, report = cli.run(["verify", "conjecture-open", "--max-oracle", "0"])
+        capsys.readouterr()
+        assert report.notes == [
+            "bound held on 30/30 pairs in open mode",
+            "30 rows exceeded the oracle cap and were skipped",
+        ]
+
+    def test_example2_with_no_row_checked_tallies_no_reading(self, capsys):
+        code, _, payload = run_json(["verify", "example2", "--max-oracle", "0"], capsys)
+        assert code == 0
+        assert all(row["oracle_match"] == "skipped" for row in payload["results"])
+        assert payload["notes"] == ["36 rows exceeded the oracle cap and were skipped"]
 
 
 class TestCommands:
@@ -365,6 +474,7 @@ class TestVerify:
         assert len(rows) == 36  # n in {3,5,7,9} x m in 1..9
         for row in rows:
             assert row["oracle"] == row["formula"]
+            assert row["oracle_match"] == "ok"
         assert any("agrees with" in note for note in payload["notes"])
 
     def test_invalid_target_rejected(self, capsys):
