@@ -2,16 +2,18 @@
 
 Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
 A handler only builds its report's rows and notes.  Every comparison row
-carries a verdict column: ``match`` (charpoly), ``oracle_match`` (formula
-against the elimination oracle) and ``bound_holds`` (gcd bound).  One step
-in ``run`` then copies each row that reads ``mismatch`` or ``violated`` into
-the violations, adds one note counting the rows skipped over the oracle cap,
-and exits 1 exactly when the violations are non-empty.  Usage errors
+carries its verdicts: ``oracle_match`` (a primary route against its oracle:
+the elimination oracle, or the Berkowitz expansion for charpoly) and, on
+product rows, ``bound_holds`` (gcd bound).  One step in ``run`` then copies
+each row that reads ``mismatch`` or ``violated`` into the violations, adds
+one note counting the rows with a cell skipped over the oracle cap, and
+exits 1 exactly when the violations are non-empty.  Usage errors
 (unknown flags, flags the verb does not read, malformed graph specs,
 unreadable or non-UTF-8 files, a non-prime --p, a negative --max-oracle, an
 unwritable --csv path) exit 2.  Any other exception is an internal fault
 and exits 3.  An operator larger than --max-oracle is never built: its row
-is marked ``skipped`` in every verb.
+is marked ``skipped`` in every verb.  charpoly counts an n-vertex graph as
+n * n, so the default cap runs its O(n^4) oracle up to n = 64.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
 n x n pairs computes n Smith forms in open mode and 2n in closed, not 2n^2.
@@ -29,7 +31,7 @@ import json
 import random
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
@@ -56,14 +58,7 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "seed": self.seed,
-            "results": self.results,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
 
 # -- output ----------------------------------------------------------------
@@ -207,7 +202,7 @@ def _presses_string(bits: Sequence[int]) -> str:
 def _cmd_charpoly(args) -> Report:
     g = game.build_family(args.g)
     M, _, via_snf = _factor({}, g, args.mode, args.p)
-    via_oracle = snf.charpoly_oracle(M, args.p)
+    via_oracle = _oracle(M, M, args.max_oracle, lambda A, _: snf.charpoly_oracle(A, args.p))
     row = {
         "g": args.g,
         "mode": args.mode,
@@ -215,7 +210,7 @@ def _cmd_charpoly(args) -> Report:
         "n": g.vertex_count,
         "charpoly_snf": str(via_snf),
         "charpoly_oracle": str(via_oracle),
-        "match": "ok" if via_snf == via_oracle else "mismatch",
+        "oracle_match": _match(via_oracle, via_snf),
     }
     return Report(args.command_echo, results=[row])
 
@@ -448,14 +443,14 @@ def _verify_example_star_path(args) -> Report:
         "multiplicity_swapped",
     ]
     memo: dict = {}
-    paths = {}  # m -> (switching matrix, its GF(2) nullity, multiplicity of x in c_path)
+    paths = {}  # m -> (matrix, invariant factors, GF(2) nullity, multiplicity of x in c_path)
     for m in range(1, 10):
-        a_path, _, c_path = _factor(memo, game.path_graph(m), "open", 2)
-        paths[m] = (a_path, gfmat.rank_nullity(a_path).nullity, _x_multiplicity(c_path))
+        a_path, s_path, c_path = _factor(memo, game.path_graph(m), "open", 2)
+        paths[m] = (a_path, s_path, gfmat.rank_nullity(a_path).nullity, _x_multiplicity(c_path))
     for n in (3, 5, 7, 9):
         a_star, s_star, _ = _factor(memo, game.star_graph(n), "open", 2)
-        for m, (a_path, nu_nullity, nu_mult) in paths.items():
-            value = formulas.nullity_path_product(m, s_star)
+        for m, (a_path, s_path, nu_nullity, nu_mult) in paths.items():
+            value = formulas.nullity_snf_product(s_star, s_path)
             oracle = _oracle(a_star, a_path, args.max_oracle)
             report.results.append(
                 {
@@ -527,7 +522,7 @@ _OPTIONS = {
         type=_nonnegative_int,
         default=formulas.ORACLE_SIZE_CAP,
         metavar="N",
-        help="largest operator size the elimination oracle will attempt",
+        help="largest operator size (n * n for charpoly) an oracle will attempt",
     ),
 }
 
@@ -551,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("charpoly", allow_abbrev=False, help="characteristic polynomial, two routes")
     sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp, "--mode", "--p")
+    common(sp, "--mode", "--p", "--max-oracle")
 
     sp = sub.add_parser("snf", allow_abbrev=False, help="invariant factors of xI - A")
     sp.add_argument("--g", required=True, metavar="SPEC")
@@ -598,15 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _judge(report: Report) -> int:
     """Add the rows that fail their check to violations; 1 if any violation, else 0.
 
-    A row fails when its ``match`` or ``oracle_match`` reads ``mismatch`` or
-    its ``bound_holds`` reads ``violated``.  Rows whose ``oracle_match`` reads
+    A row fails when its ``oracle_match`` reads ``mismatch`` or its
+    ``bound_holds`` reads ``violated``.  Rows with any cell reading
     ``skipped`` are counted in one note after the handler's own notes.
     """
     for row in report.results:
-        verdicts = (row.get("match"), row.get("oracle_match"), row.get("bound_holds"))
-        if "mismatch" in verdicts or "violated" in verdicts:
+        if row.get("oracle_match") == "mismatch" or row.get("bound_holds") == "violated":
             report.violations.append(dict(row))
-    skipped = sum(1 for row in report.results if row.get("oracle_match") == "skipped")
+    skipped = sum(1 for row in report.results if "skipped" in row.values())
     if skipped:
         report.notes.append(f"{skipped} rows exceeded the oracle cap and were skipped")
     return 1 if report.violations else 0
@@ -617,13 +611,13 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
 
     Each handler builds its report's rows and notes; ``_judge`` then moves
     every failed row into violations and notes the skipped rows.  Exit codes:
-    0 success; 1 exactly when violations is non-empty (a formula/oracle or
-    charpoly mismatch, a bound violation, or a ``verify lemma`` trial where
-    the min-sum inequality fails); 2 usage error (bad flags, a malformed
-    graph spec or graph file, a reversed sweep range or a cycles range below
-    3, a --p that is not prime, a negative --max-oracle, an unwritable --csv
-    path); 3 internal fault (any other exception, reported on stderr as
-    ``error: internal ...`` and its traceback).  The report is None when no
+    0 success; 1 exactly when violations is non-empty (an oracle mismatch, a
+    bound violation, or a ``verify lemma`` trial where the min-sum inequality
+    fails); 2 usage error (bad flags, a malformed graph spec or graph file, a
+    reversed sweep range or a cycles range below 3, a --p that is not prime,
+    a negative --max-oracle, an unwritable --csv path); 3 internal fault (any
+    other exception, reported on stderr as ``error: internal ...`` and its
+    traceback).  The report is None when no
     handler ran to the end.
     """
     try:

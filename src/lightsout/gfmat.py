@@ -1,11 +1,11 @@
 """Exact dense linear algebra over prime fields GF(p).
 
-Matrices over GF(2) are stored as bit-packed rows (one Python int per row)
-and reduced by the pure-Python Four Russians kernel in lightsout._gf2kernel;
-other primes use residue rows with schoolbook elimination.  Every
-elimination goes through ``_echelon``.  The representation is
-internal: construction, indexing and equality behave identically for every
-modulus.
+Matrices over GF(2) are stored as bit-packed rows, one Python int per row in
+``gfpoly``'s packed format, and reduced by the pure-Python Four Russians
+kernel in lightsout._gf2kernel; other primes use residue rows with
+schoolbook elimination.  Every elimination goes through ``_echelon``.  The
+representation is internal: construction, indexing and equality behave
+identically for every modulus.
 
 All operations are pure functions on value-semantic inputs; nothing mutates
 its arguments, so matrices can be shared freely across threads.
@@ -14,24 +14,10 @@ its arguments, so matrices can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from lightsout import _gf2kernel
-from lightsout.gfpoly import check_prime
-
-
-def _pack_bits(values: Iterable[int]) -> int:
-    bits = 0
-    for j, v in enumerate(values):
-        if v & 1:
-            bits |= 1 << j
-    return bits
-
-
-def _unpack_bits(bits: int, n: int) -> tuple[int, ...]:
-    # from a list: tuple() of a generator over-allocates and resizes, which
-    # parks memory on the interpreter's tuple free lists every call
-    return tuple([(bits >> j) & 1 for j in range(n)])
+from lightsout.gfpoly import _pack_bits, _unpack_bits, check_prime
 
 
 def _iter_bits(bits: int):

@@ -8,6 +8,9 @@ The canonical text form writes terms in descending degree with ``^`` for
 powers and explicit coefficients where they differ from 1, e.g. ``x^3 + x + 1``
 or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
 
+Over GF(2) a polynomial or a ``gfmat`` row also packs into an int, bit i
+holding entry i; ``poly_gcd`` and ``snf`` run on its shift-and-XOR ops.
+
 Arithmetic operands are ``Poly`` over the same field: any other type raises
 TypeError and a different p raises ValueError.  :func:`factor` takes degree
 <= MAX_FACTOR_DEGREE, finds linear factors by evaluation at every field
@@ -256,10 +259,61 @@ def poly_key(f: Poly) -> tuple:
     return (len(f.coeffs), f.coeffs)
 
 
+def _pack_bits(values: Iterable[int]) -> int:
+    bits = 0
+    for j, v in enumerate(values):
+        if v & 1:
+            bits |= 1 << j
+    return bits
+
+
+def _unpack_bits(bits: int, n: int) -> tuple[int, ...]:
+    # from a list: tuple() of a generator over-allocates and resizes, which
+    # parks memory on the interpreter's tuple free lists every call
+    return tuple([(bits >> j) & 1 for j in range(n)])
+
+
+def _divmod2(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of packed GF(2) polynomials."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if b == 1:  # most pivots of xI - A are units
+        return a, 0
+    db = b.bit_length()
+    q = 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return q, a
+
+
+def _mul2(a: int, b: int) -> int:
+    """Product of packed GF(2) polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _gcd2(a: int, b: int) -> int:
+    """gcd of packed GF(2) polynomials (monic, as every nonzero one is)."""
+    while b:
+        a, b = b, _divmod2(a, b)[1]
+    return a
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, f) = monic(f), gcd(0, 0) = 0."""
+    """Monic gcd by Euclid, on packed ints over GF(2); gcd(0, f) = monic(f), gcd(0, 0) = 0."""
     if a.p != b.p:
         raise ValueError(f"field mismatch: GF({a.p}) vs GF({b.p})")
+    if a.p == 2:
+        g = _gcd2(_pack_bits(a.coeffs), _pack_bits(b.coeffs))
+        return Poly(_unpack_bits(g, g.bit_length()), 2)
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()

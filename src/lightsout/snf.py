@@ -5,13 +5,11 @@ xI - A, and ``smith_normal_form`` takes any square list of rows and returns
 Poly invariant factors.  The reduction diagonalizes by Euclidean division,
 then turns the diagonal into the ordered invariant factors
 s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges.  Over GF(2) the
-same loop runs on polynomials packed into ints (bit i is the coefficient of
-x^i, subtraction is XOR, and multiplication, division and gcd are
-shift-and-XOR loops); Poly objects are built only for the result.  Two
-independent routes to the characteristic polynomial are provided: the
-product of the invariant factors, and a division-free (Berkowitz)
-expansion over the integers reduced mod p.  They must agree; the test
-suite leans on that cross-check heavily.
+same loop runs on ``gfpoly``'s packed polynomials; Poly objects are built
+only for the result.  Two independent routes to the characteristic
+polynomial are provided: the product of the invariant factors, and a
+division-free (Berkowitz) expansion over the integers reduced mod p.  They
+must agree; the test suite leans on that cross-check heavily.
 """
 
 from __future__ import annotations
@@ -20,8 +18,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from lightsout.gfmat import PrimeFieldMatrix, _pack_bits, _unpack_bits
+from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_gcd, poly_key, prod
+from lightsout.gfpoly import _divmod2, _gcd2, _mul2, _pack_bits, _unpack_bits
 
 
 @dataclass(frozen=True)
@@ -78,40 +77,6 @@ def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
         [diag[c] if i == j else const[c] for j, c in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-
-
-def _divmod2(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2) polynomials packed into ints."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if b == 1:  # most pivots of xI - A are units
-        return a, 0
-    db = b.bit_length()
-    q = 0
-    shift = a.bit_length() - db
-    while shift >= 0:
-        q |= 1 << shift
-        a ^= b << shift
-        shift = a.bit_length() - db
-    return q, a
-
-
-def _mul2(a: int, b: int) -> int:
-    """Product of GF(2) polynomials packed into ints."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _gcd2(a: int, b: int) -> int:
-    """gcd of GF(2) polynomials packed into ints (monic, as every nonzero one is)."""
-    while b:
-        a, b = b, _divmod2(a, b)[1]
-    return a
 
 
 def _poly_size(f: Poly) -> int:

@@ -13,7 +13,7 @@ from itertools import product
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, poly_gcd
+from lightsout.gfpoly import Poly
 from lightsout.snf import SnfResult
 
 
@@ -121,6 +121,17 @@ def echelon_bits_by_columns(rows, ncols, reduced=True):
     return out, pivots
 
 
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by a Euclid loop over ``Poly.__mod__``.
+
+    ``poly_gcd`` runs on packed ints over GF(2), the same helpers as the
+    Smith form, so the references below take their gcds here instead.
+    """
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
 def smith_normal_form_on_polys(M) -> SnfResult:
     """Two-phase Smith form with Poly arithmetic throughout: the reference.
 
@@ -170,6 +181,6 @@ def smith_normal_form_on_polys(M) -> SnfResult:
         for j in range(i + 1, n):
             if d[i].degree == 0:
                 break
-            g = poly_gcd(d[i], d[j])
+            g = euclid_gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return SnfResult(tuple([f.monic() for f in d]))

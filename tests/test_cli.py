@@ -193,7 +193,7 @@ class TestVerdicts:
         assert code == 1
         assert failing and report.violations == failing
         for row in report.results:
-            verdicts = (row.get("match"), row.get("oracle_match"), row.get("bound_holds"))
+            verdicts = (row.get("oracle_match"), row.get("bound_holds"))
             assert ("mismatch" in verdicts or "violated" in verdicts) == (row in failing)
 
     def test_lemma_failed_trials_are_the_violations(self, capsys, monkeypatch):
@@ -263,7 +263,24 @@ class TestCommands:
         assert code == 0
         row = payload["results"][0]
         assert row["charpoly_snf"] == row["charpoly_oracle"]
-        assert row["match"] == "ok"
+        assert row["oracle_match"] == "ok"
+
+    def test_charpoly_oracle_over_cap_is_skipped_uncalled(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(snf, "charpoly_oracle", lambda *args: calls.append(args))
+        code, _, payload = run_json(["charpoly", "--g", "path:65"], capsys)
+        assert code == 0
+        row = payload["results"][0]
+        assert row["charpoly_oracle"] == row["oracle_match"] == "skipped"
+        assert row["charpoly_snf"] != "skipped"
+        assert payload["notes"] == ["1 rows exceeded the oracle cap and were skipped"]
+        assert calls == []
+
+    def test_charpoly_oracle_cap_counts_n_squared(self, capsys):
+        for spec, verdict in (("path:3", "ok"), ("path:4", "skipped")):
+            code, _, payload = run_json(["charpoly", "--g", spec, "--max-oracle", "10"], capsys)
+            assert code == 0
+            assert payload["results"][0]["oracle_match"] == verdict
 
     def test_bound_reports_charpolys(self, capsys):
         code, _, payload = run_json(
@@ -337,6 +354,13 @@ class TestCommands:
         assert code == 0
         row = payload["results"][0]
         assert row["solvable"] == row["presses"] == row["solution_exponent"] == "skipped"
+
+    def test_solve_product_over_cap_is_noted(self, capsys):
+        code, _, payload = run_json(
+            ["solve", "--g", "path:3", "--h", "path:3", "--max-oracle", "4"], capsys
+        )
+        assert code == 0
+        assert payload["notes"] == ["1 rows exceeded the oracle cap and were skipped"]
 
     def test_nullity_gf3(self, capsys):
         code, _, payload = run_json(
@@ -476,6 +500,21 @@ class TestVerify:
             assert row["oracle"] == row["formula"]
             assert row["oracle_match"] == "ok"
         assert any("agrees with" in note for note in payload["notes"])
+
+    def test_example2_never_calls_the_charpoly_oracle(self, capsys, monkeypatch):
+        calls = []
+        for module in (snf, formulas):
+            original = module.charpoly_oracle
+            monkeypatch.setattr(
+                module,
+                "charpoly_oracle",
+                lambda *args, f=original: calls.append(args) or f(*args),
+            )
+        code, _, payload = run_json(["verify", "example2"], capsys)
+        assert code == 0
+        assert calls == []
+        assert len(payload["results"]) == 36
+        assert all(row["oracle_match"] == "ok" for row in payload["results"])
 
     def test_invalid_target_rejected(self, capsys):
         code, _ = cli.run(["verify", "example99"])

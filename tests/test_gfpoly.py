@@ -143,6 +143,11 @@ class TestDivmod:
 class TestGcd:
     def test_shared_factor(self):
         assert poly_gcd(P("x^3 + x"), P("x^2 + 1")) == P("x^2 + 1")
+        # GF(2) operands wider than 64 bits: (x^70 + x + 1)(x^3 + x + 1) and
+        # (x^70 + x + 1)(x^2 + x + 1) share exactly x^70 + x + 1
+        wide = P("x^70 + x + 1")
+        assert poly_gcd(wide * P("x^3 + x + 1"), wide * P("x^2 + x + 1")) == wide
+        assert poly_gcd(wide * P("x^3 + x + 1"), P("x^2 + x + 1")) == Poly.one(2)
 
     def test_coprime(self):
         assert poly_gcd(P("x^2 + 1"), P("x")) == Poly.one(2)
@@ -152,6 +157,11 @@ class TestGcd:
         assert poly_gcd(Poly.zero(3), f) == f.monic()
         assert poly_gcd(f, Poly.zero(3)) == f.monic()
         assert poly_gcd(Poly.zero(3), Poly.zero(3)) == Poly.zero(3)
+        wide = P("x^90 + x^65 + 1")
+        assert poly_gcd(Poly.zero(2), wide) == poly_gcd(wide, Poly.zero(2)) == wide
+        assert poly_gcd(Poly.zero(2), Poly.zero(2)) == Poly.zero(2)
+        with pytest.raises(ValueError, match=r"field mismatch: GF\(2\) vs GF\(3\)"):
+            poly_gcd(wide, f)
 
     def test_gcd_is_monic_and_divides(self):
         rng = random.Random(13)
