@@ -9,7 +9,8 @@ powers and explicit coefficients where they differ from 1, e.g. ``x^3 + x + 1``
 or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
 
 Over GF(2) a polynomial or a ``gfmat`` row also packs into an int, bit i
-holding entry i; ``poly_gcd`` and ``snf`` run on its shift-and-XOR ops.
+holding entry i; ``poly_gcd``, ``prod`` and ``snf`` run on its
+shift-and-XOR ops and build a Poly only for the value they return.
 
 Arithmetic operands are ``Poly`` over the same field: any other type raises
 TypeError and a different p raises ValueError.  :func:`factor` takes degree
@@ -325,8 +326,20 @@ def shift_one(f: Poly) -> Poly:
 
 
 def prod(factors: Iterable[Poly], p: int) -> Poly:
-    """Product of polynomials over GF(p) (empty product is 1)."""
-    return reduce(lambda a, b: a * b, factors, Poly.one(p))
+    """Product of polynomials over GF(p) (empty product is 1).
+
+    Over GF(2) the product runs on packed ints and builds one Poly.
+    """
+    if p != 2:
+        return reduce(lambda a, b: a * b, factors, Poly.one(p))
+    acc = 1
+    for f in factors:
+        if not isinstance(f, Poly):
+            raise TypeError(f"cannot multiply Poly by {type(f).__name__}")
+        if f.p != 2:  # packing would silently read a GF(3) coefficient 2 as 0
+            raise ValueError(f"field mismatch: GF(2) vs GF({f.p})")
+        acc = _mul2(acc, _pack_bits(f.coeffs))
+    return Poly(_unpack_bits(acc, acc.bit_length()), 2)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Matrices are plain rows of Poly: ``char_matrix`` returns the rows of
 xI - A, and ``smith_normal_form`` takes any square list of rows and returns
 Poly invariant factors.  The reduction diagonalizes by Euclidean division,
 then turns the diagonal into the ordered invariant factors
-s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges.  Over GF(2) the
-same loop runs on ``gfpoly``'s packed polynomials; Poly objects are built
-only for the result.  Two independent routes to the characteristic
-polynomial are provided: the product of the invariant factors, and a
+s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges; a pivot equal to
+1 takes a one-sweep step with no division.  Over GF(2) ``char_matrix``
+fills every row from four shared entries (0, 1, x, x + 1), the loop runs
+on ``gfpoly``'s packed polynomials, and Poly objects are built only for the
+non-unit results, which ``gfpoly.prod`` multiplies packed again.  Two
+independent routes to the characteristic polynomial are provided: the
+product of the invariant factors, and a
 division-free (Berkowitz) expansion over the integers reduced mod p.  They
 must agree; the test suite leans on that cross-check heavily.
 """
@@ -61,15 +64,31 @@ class FactorData:
         )
 
 
+#: The entries of xI - A over GF(2), shared by every characteristic matrix
+#: (Poly is immutable): off-diagonal -c and diagonal x - c, indexed by c.
+_GF2_OFF = (Poly((), 2), Poly((1,), 2))
+_GF2_DIAG = (Poly((0, 1), 2), Poly((1, 1), 2))
+_GF2_ONE = _GF2_OFF[1]
+
+
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
     """The rows of the characteristic matrix xI - A over GF(p)[x].
 
     Entries are shared: one Poly per distinct off-diagonal value -c and one
-    per distinct diagonal value x - c (Poly is immutable).
+    per distinct diagonal value x - c (Poly is immutable).  Over GF(2) these
+    are the four constants 0, 1, x and x + 1, built once at import.
     """
     if not A.is_square:
         raise ValueError("characteristic matrix requires a square matrix")
     p = A.p
+    if p == 2:
+        out = []
+        for i in range(A.rows):
+            row = A.row(i)
+            entries = [_GF2_OFF[c] for c in row]
+            entries[i] = _GF2_DIAG[row[i]]
+            out.append(entries)
+        return out
     rows = A.to_lists()
     const = {c: Poly((-c,), p) for c in {c for row in rows for c in row}}
     diag = {c: Poly((-c, 1), p) for c in {row[i] for i, row in enumerate(rows)}}
@@ -118,8 +137,15 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
     monic at the end.
 
+    A pivot equal to 1 divides everything with remainder 0, so phase 1
+    takes a shorter step for it: subtract row[k] times the pivot row from
+    each row, zero the pivot row and column, and move on.  That is the
+    matrix the general step gives, without its divisions or second sweep;
+    over GF(2) every pivot of degree 0 is 1.
+
     Over GF(2) the entries are packed into ints on entry and the loop runs
-    on the int operations; the result is Poly either way.
+    on the int operations; the result is Poly either way, and unit
+    invariant factors share one Poly.
 
     Raises ValueError for non-square input, entries over different fields,
     or a singular matrix (a diagonal entry would be zero); xI - A is never
@@ -129,10 +155,12 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("Smith normal form is implemented for square matrices")
-    packed = _field(a) == 2
+    p = _field(a)
+    packed = p == 2
     if packed:
         a = [[_pack_bits(f.coeffs) for f in row] for row in a]
     size, divmod_, sub, mul, gcd = _GF2_OPS if packed else _POLY_OPS
+    one, zero = (Poly.one(p), Poly.zero(p)) if p and not packed else (1, 0)
     for k in range(n):  # phase 1: diagonalize
         while True:
             best = None
@@ -153,6 +181,17 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
                 row[k], row[bj] = row[bj], row[k]
             krow = a[k]
             pivot = krow[k]
+            if pivot == one:  # every quotient is exact: one sweep clears both
+                tail = [j for j in range(k + 1, n) if krow[j]]
+                for row in a[k + 1 :]:
+                    q = row[k]
+                    if q:
+                        for j in tail:
+                            row[j] = sub(row[j], mul(q, krow[j]))
+                        row[k] = zero
+                for j in tail:
+                    krow[j] = zero
+                break
             for row in a[k + 1 :]:
                 if row[k]:
                     q, row[k] = divmod_(row[k], pivot)
@@ -174,11 +213,15 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
                 break
             g = gcd(d[i], d[j])
             d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
-    if packed:
-        d = [Poly(_unpack_bits(f, f.bit_length()), 2) for f in d]
-    # from a list: tuple() of a generator allocates a 10-slot tuple and resizes
+    # units share one Poly; every nonzero GF(2) polynomial is monic already.
+    # From a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
-    return SnfResult(tuple([f.monic() for f in d]))
+    if packed:
+        return SnfResult(tuple([
+            _GF2_ONE if f == 1 else Poly(_unpack_bits(f, f.bit_length()), 2)
+            for f in d
+        ]))
+    return SnfResult(tuple([one if size(f) == 1 else f.monic() for f in d]))
 
 
 def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
@@ -190,11 +233,14 @@ def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
     """Characteristic polynomial as the product of the invariant factors.
 
     The factors carry their field; ``p`` names it for an empty list (a
-    0-vertex graph), whose product is 1.
+    0-vertex graph), whose product is 1.  Raises ValueError when ``p``
+    names another field than the factors'.
     """
     field = s.field or p
     if field is None:
         raise ValueError("empty invariant factor list has no field; pass p")
+    if p is not None and p != field:
+        raise ValueError(f"field mismatch: GF({field}) vs GF({p})")
     return prod(s.invariant_factors, field)
 
 

@@ -9,6 +9,7 @@ from helpers import (
     euclid_gcd,
     poly_det_cofactor,
     random_matrix01,
+    random_modp_matrix,
     random_symmetric01,
     smith_normal_form_on_polys,
 )
@@ -59,6 +60,19 @@ class TestCharMatrix:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             snf.char_matrix(PrimeFieldMatrix.zeros(2, 3, 2))
+
+    def test_gf2_entries_are_x_delta_minus_a(self):
+        rng = random.Random(79)
+        x = P("x")
+        for n in range(13):
+            A = PrimeFieldMatrix(random_matrix01(n, n, rng), 2)
+            for B in (A, A + PrimeFieldMatrix.identity(n, 2)):
+                M = snf.char_matrix(B)
+                assert len(M) == n and all(len(row) == n for row in M)
+                for i in range(n):
+                    for j in range(n):
+                        delta = Poly((int(i == j),), 2)
+                        assert M[i][j] == x * delta - Poly((B[i, j],), 2)
 
 
 class TestSmithNormalForm:
@@ -255,6 +269,40 @@ class TestPackedGF2:
                 nonsingular += 1
         assert nonsingular > 60
 
+    def test_odd_p_char_matrices_match_reference(self):
+        # off-diagonal entries -c of xI - A are units; c = p - 1 gives pivot 1
+        rng = random.Random(103)
+        for p in (3, 5):
+            for n in range(11):
+                for rows in (random_matrix01(n, n, rng), random_modp_matrix(n, n, p, rng)):
+                    self.assert_matches_reference(snf.char_matrix(PrimeFieldMatrix(rows, p)))
+
+    def test_odd_p_unit_entries_match_reference(self):
+        # a third of the entries are 1 or another unit, the rest degree <= 2
+        rng = random.Random(107)
+        nonsingular = 0
+        for p in (3, 5):
+            for n in range(1, 7):
+                for _ in range(12):
+                    M = [
+                        [
+                            Poly((rng.randrange(1, p),), p)
+                            if rng.random() < 1 / 3
+                            else Poly([rng.randrange(p) for _ in range(3)], p)
+                            for _ in range(n)
+                        ]
+                        for _ in range(n)
+                    ]
+                    try:
+                        expected = str(smith_normal_form_on_polys(M))
+                    except ValueError:
+                        with pytest.raises(ValueError, match="zero determinant"):
+                            snf.smith_normal_form(M)
+                        continue
+                    assert str(snf.smith_normal_form(M)) == expected
+                    nonsingular += 1
+        assert nonsingular > 100
+
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
         self.assert_matches_reference(snf.char_matrix(A))
@@ -309,6 +357,12 @@ class TestCharpolyRoutes:
         assert snf.charpoly_from_snf(empty, 3) == Poly.one(3)
         with pytest.raises(ValueError):
             snf.charpoly_from_snf(empty)
+
+    def test_charpoly_from_snf_rejects_another_field(self):
+        s = snf.SnfResult((P("x + 1"),))
+        assert snf.charpoly_from_snf(s, 2) == P("x + 1")
+        with pytest.raises(ValueError, match=r"field mismatch: GF\(2\) vs GF\(3\)"):
+            snf.charpoly_from_snf(s, 3)
 
     def test_known_closed_forms(self):
         # complete graph K_n: det(xI - A) = (x - (n-1)) (x + 1)^(n-1)
