@@ -266,11 +266,10 @@ def _cmd_solve(args) -> Report:
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count
-    # all-on; with no rows, only zeros(0, n) keeps the n columns
-    C = gfmat.PrimeFieldMatrix([[1] * n] * m, 2) if m else gfmat.PrimeFieldMatrix.zeros(0, n, 2)
+    C = PrimeFieldMatrix.from_bits([(1 << n) - 1] * m, n, 2)  # all-on
 
     def solve_and_nullity(A, B):
-        nu = gfmat.rank_nullity(gfmat.sylvester_operator(A, B)).nullity
+        nu = formulas.oracle_nullity(A, B, max_dim=args.max_oracle)
         return game.sylvester_solve(A, B, C), nu
 
     solved = _oracle(A, B, args.max_oracle, solve_and_nullity)

@@ -52,11 +52,8 @@ class Graph:
         return cls(n, normalized)
 
     def adjacency_rows(self) -> list[list[int]]:
-        rows = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            rows[u][v] = 1
-            rows[v][u] = 1
-        return rows
+        """The 0/1 adjacency matrix as n lists of n ints (the open switching matrix)."""
+        return switching_matrix(self).to_lists()
 
 
 def path_graph(n: int) -> Graph:
@@ -136,7 +133,9 @@ def build_family(spec: str) -> Graph:
         m = _GRID_RE.match(arg.strip())
         if not m:
             raise GraphParseError(f"malformed grid spec {spec!r} (want grid:MxN)")
-        return cartesian_product(path_graph(int(m.group(1))), path_graph(int(m.group(2))))
+        if min(map(int, m.groups())) < 1:
+            raise GraphParseError("grid:MxN needs M, N >= 1")
+        return cartesian_product(*(path_graph(int(k)) for k in m.groups()))
     builders = {
         "path": path_graph,
         "cycle": cycle_graph,
@@ -205,13 +204,14 @@ def read_graph_file(path: str) -> Graph:
 
 
 def switching_matrix(g: Graph, mode: str = "open", p: int = 2) -> PrimeFieldMatrix:
-    """Adjacency matrix (open) or adjacency plus identity (closed) over GF(p)."""
+    """Adjacency matrix (open) or adjacency plus identity (closed) over GF(p), from bit rows."""
     check_mode(mode)
-    rows = g.adjacency_rows()
-    if mode == "closed":
-        for i in range(g.vertex_count):
-            rows[i][i] = (rows[i][i] + 1) % p
-    return PrimeFieldMatrix(rows, p)
+    n = g.vertex_count
+    rows = [1 << i for i in range(n)] if mode == "closed" else [0] * n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return PrimeFieldMatrix.from_bits(rows, n, p)
 
 
 @dataclass(frozen=True)

@@ -72,19 +72,21 @@ class PrimeFieldMatrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "PrimeFieldMatrix":
+    def from_bits(cls, rows: Sequence[int], cols: int, p: int) -> "PrimeFieldMatrix":
+        """The 0/1 matrix over GF(p) whose entry (i, j) is bit j of rows[i]."""
         check_prime(p)
-        data = [0] * rows if p == 2 else [[0] * cols for _ in range(rows)]
-        return cls._packed(rows, cols, p, data)
+        if any(bits >> cols for bits in rows):  # -1 for a negative row
+            raise ValueError(f"every row must be a set of bits below bit {cols}")
+        data = list(rows) if p == 2 else [[(b >> j) & 1 for j in range(cols)] for b in rows]
+        return cls._packed(len(data), cols, p, data)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int, p: int) -> "PrimeFieldMatrix":
+        return cls.from_bits([0] * rows, cols, p)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "PrimeFieldMatrix":
-        check_prime(p)
-        if p == 2:
-            data = [1 << i for i in range(n)]
-        else:
-            data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls._packed(n, n, p, data)
+        return cls.from_bits([1 << i for i in range(n)], n, p)
 
     # -- access ------------------------------------------------------------
 

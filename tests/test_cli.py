@@ -60,6 +60,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["grid:0x5", "grid:5x0"])
+    def test_zero_sized_grid_is_usage_error(self, spec, capsys):
+        code, _ = cli.run(["counts", "--g", spec])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid:MxN needs M, N >= 1\n"
+
     def test_negative_max_oracle_is_usage_error(self, capsys):
         argv = ["nullity", "--g", "path:3", "--h", "path:3", "--max-oracle"]
         assert cli.run(argv + ["-5"]) == (2, None)
@@ -258,6 +264,16 @@ class TestCommands:
         row = payload["results"][0]
         assert (row["r"], row["nu"]) == (23, 2)
 
+    @pytest.mark.parametrize("n, nu", [(4, 4), (5, 2), (17, 2), (64, 28)])
+    def test_counts_grid_closed_equals_the_path_pair_formula(self, n, nu, capsys):
+        _, _, counts = run_json(["counts", "--g", f"grid:{n}x{n}", "--mode", "closed"], capsys)
+        _, _, pair = run_json(
+            ["nullity", "--g", f"path:{n}", "--h", f"path:{n}", "--mode", "closed",
+             "--max-oracle", "0"],
+            capsys,
+        )
+        assert counts["results"][0]["nu"] == pair["results"][0]["nullity_formula"] == nu
+
     def test_charpoly_routes_agree(self, capsys):
         code, _, payload = run_json(["charpoly", "--g", "petersen"], capsys)
         assert code == 0
@@ -342,6 +358,19 @@ class TestCommands:
         code, _, payload = run_json(["solve", "--g", "path:1"], capsys)
         assert code == 0
         assert payload["results"][0]["solvable"] == "no"
+
+    def test_solve_product_with_a_zero_vertex_factor(self, tmp_path, capsys):
+        spec = f"file:{tmp_path / 'empty.txt'}"
+        (tmp_path / "empty.txt").write_text("0\n")
+        for g, h, presses in ((spec, "path:3", ""), ("path:3", spec, "//")):
+            code, _, payload = run_json(["solve", "--g", g, "--h", h], capsys)
+            assert code == 0
+            row = payload["results"][0]
+            assert (row["solvable"], row["presses"], row["solution_exponent"]) == (
+                "yes",
+                presses,
+                0,
+            )
 
     def test_solve_product_over_cap_is_skipped_unbuilt(self, capsys, monkeypatch):
         def unbuildable(A, B):

@@ -1,6 +1,7 @@
 """Graph construction, Cartesian products, and Lights Out! semantics."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -189,6 +190,31 @@ class TestSwitchingMatrix:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             switching_matrix(game.path_graph(2), "sideways")
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equals_matrix_filled_from_the_edges(self, p):
+        rng = random.Random(157 + p)
+        for n in range(13):
+            g = game.random_graph(n, rng)
+            for mode in ("open", "closed"):
+                lists = [[int(mode == "closed" and i == j) for j in range(n)] for i in range(n)]
+                for u, v in g.edges:
+                    lists[u][v] = lists[v][u] = 1
+                M = switching_matrix(g, mode, p)
+                assert M == PrimeFieldMatrix(lists, p)
+                assert (M.rows, M.cols) == (n, n)
+
+    def test_grid_builds_no_square_intermediate(self):
+        # a 4096 x 4096 list of ints alone would take over 128 MiB
+        g = build_family("grid:64x64")
+        tracemalloc.start()
+        try:
+            M = switching_matrix(g, "closed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.rows == 4096
+        assert peak < 16 * 2**20
 
 
 class TestSolvability:

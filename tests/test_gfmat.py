@@ -42,6 +42,25 @@ class TestConstruction:
         ]
         assert PrimeFieldMatrix.zeros(2, 3, 5).to_lists() == [[0] * 3] * 2
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_from_bits_equals_list_constructor(self, p):
+        rng = random.Random(151 + p)
+        for rows, cols in ((1, 1), (3, 7), (7, 3), (9, 70)):
+            lists = random_matrix01(rows, cols, rng)
+            bits = [sum(v << j for j, v in enumerate(row)) for row in lists]
+            assert PrimeFieldMatrix.from_bits(bits, cols, p) == PrimeFieldMatrix(lists, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_from_bits_rejects_bits_outside_the_columns(self, p):
+        for bad in ([0b1000], [0b101, 1 << 40], [-1], [0, -4]):
+            with pytest.raises(ValueError):
+                PrimeFieldMatrix.from_bits(bad, 3, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_from_bits_with_no_rows_keeps_the_columns(self, p):
+        M = PrimeFieldMatrix.from_bits([], 4, p)
+        assert (M.rows, M.cols, M.to_lists()) == (0, 4, [])
+
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             PrimeFieldMatrix([[1]], 6)
