@@ -15,7 +15,9 @@ from typing import Sequence
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import Poly, poly_gcd
-from lightsout.snf import FactorData, SnfResult, charpoly_oracle
+# charpoly_oracle is unused here, but the benchmark tracer and
+# test_example2_never_calls_the_charpoly_oracle bind formulas.charpoly_oracle.
+from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
 
 #: Largest operator size (rows = m*n) the elimination oracle accepts.
 ORACLE_SIZE_CAP = 4096
@@ -93,13 +95,18 @@ def nullity_path_product(m: int, sg: SnfResult) -> int:
 
     Paths are non-derogatory, so the path's invariant factors are 1, ..., 1,
     c_path and only c_path enters the double sum of nullity_snf_product.
+    Expanding det(xI - A) along the last row gives c_0 = 1, c_1 = x and
+    c_{k+1} = x c_k - c_{k-1}.
     """
     if m < 1:
         raise ValueError("paths have at least one vertex")
     p = sg.field
     if p is None:
         return 0
-    c_path = charpoly_oracle(path_adjacency(m), p)
+    x = Poly((0, 1), p)
+    prev, c_path = Poly.one(p), x
+    for _ in range(m - 1):
+        prev, c_path = c_path, x * c_path - prev
     return nullity_snf_product(SnfResult((c_path,)), sg)
 
 

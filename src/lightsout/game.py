@@ -203,15 +203,20 @@ def read_graph_file(path: str) -> Graph:
     return parse_graph_text(text, source=path)
 
 
-def switching_matrix(g: Graph, mode: str = "open", p: int = 2) -> PrimeFieldMatrix:
-    """Adjacency matrix (open) or adjacency plus identity (closed) over GF(p), from bit rows."""
+def _switching_bits(g: Graph, mode: str) -> list[int]:
+    """The switching matrix's rows as ints: bit j of row i is entry (i, j)."""
     check_mode(mode)
     n = g.vertex_count
     rows = [1 << i for i in range(n)] if mode == "closed" else [0] * n
     for u, v in g.edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return PrimeFieldMatrix.from_bits(rows, n, p)
+    return rows
+
+
+def switching_matrix(g: Graph, mode: str = "open", p: int = 2) -> PrimeFieldMatrix:
+    """Adjacency matrix (open) or adjacency plus identity (closed) over GF(p), from bit rows."""
+    return PrimeFieldMatrix.from_bits(_switching_bits(g, mode), g.vertex_count, p)
 
 
 @dataclass(frozen=True)
@@ -259,12 +264,19 @@ class PressSolution:
 
 
 def solve_presses(inst: LightsInstance) -> PressSolution | None:
-    """A press set turning the lights off, with the kernel basis; None if unsolvable."""
-    M = switching_matrix(inst.graph, inst.mode)
-    x = gfmat.solve(M, inst.config)
-    if x is None:
+    """A press set turning the lights off, with the kernel basis; None if unsolvable.
+
+    Both come from one elimination of [M | config]: its null vector at the
+    last column is (presses, 1) when one exists, and the others are
+    (kernel vector, 0).
+    """
+    n = inst.graph.vertex_count
+    rows = _switching_bits(inst.graph, inst.mode)
+    aug = PrimeFieldMatrix.from_bits([r | c << n for r, c in zip(rows, inst.config)], n + 1, 2)
+    *kernel, last = gfmat.kernel_basis(aug)  # n + 1 columns, n rows: never empty
+    if not last[n]:
         return None
-    return PressSolution(presses=x, kernel=tuple(gfmat.kernel_basis(M)))
+    return PressSolution(presses=last[:n], kernel=tuple(v[:n] for v in kernel))
 
 
 def count_exponents(g: Graph, mode: str = "open") -> tuple[int, int]:
@@ -295,5 +307,6 @@ def sylvester_solve(
     x = gfmat.solve(op, vec)
     if x is None:
         return None
+    # the shape is explicit: with no rows the list alone would lose the n columns
     entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
-    return PrimeFieldMatrix(entries, A.p)
+    return PrimeFieldMatrix._of_rows(entries, n, A.p)

@@ -7,25 +7,24 @@ schoolbook elimination.  Every elimination goes through ``_echelon``.  The
 representation is internal: construction, indexing and equality behave
 identically for every modulus.
 
+Packed rows are read only where CLI verbs and brute-force oracles loop:
+construction, entry access, elimination, ``sylvester_operator`` and
+``mul_vec`` (over residue rows the exhaustive press-set checks ran about 15
+times slower).  ``+``, ``-``, ``@``, ``transpose``, ``inverse`` and
+``kronecker`` are written once, over residue rows, through ``_of_rows``.
+
 All operations are pure functions on value-semantic inputs; nothing mutates
 its arguments, so matrices can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from lightsout import _gf2kernel
 from lightsout.gfpoly import _pack_bits, _unpack_bits, check_prime
-
-
-def _iter_bits(bits: int):
-    """Yield the indices of set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -45,31 +44,32 @@ class PrimeFieldMatrix:
     def __init__(self, entries: Sequence[Sequence[int]], p: int):
         check_prime(p)
         mat = [list(row) for row in entries]
-        rows = len(mat)
         cols = len(mat[0]) if mat else 0
-        for row in mat:
-            if len(row) != cols:
-                raise ValueError("all rows must have the same length")
-        if p == 2:
-            data = [_pack_bits(row) for row in mat]
-        else:
-            data = [[v % p for v in row] for row in mat]
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_data", data)
+        if any(len(row) != cols for row in mat):
+            raise ValueError("all rows must have the same length")
+        built = self._of_rows(mat, cols, p)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(built, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeFieldMatrix is immutable")
 
     @classmethod
-    def _packed(cls, rows: int, cols: int, p: int, data) -> "PrimeFieldMatrix":
+    def _packed(cls, cols: int, p: int, data: list) -> "PrimeFieldMatrix":
+        """The matrix with ``data`` as its stored rows: ints at p = 2, residue lists otherwise."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "p", p)
-        object.__setattr__(m, "_data", data)
+        for name, value in zip(cls.__slots__, (len(data), cols, p, data)):
+            object.__setattr__(m, name, value)
         return m
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[Sequence[int]], cols: int, p: int) -> "PrimeFieldMatrix":
+        """The matrix of integer rows, reduced mod p and packed at p = 2.
+
+        ``cols`` is explicit, so a matrix with no rows keeps its width.
+        """
+        data = [_pack_bits(r) for r in rows] if p == 2 else [[v % p for v in r] for r in rows]
+        return cls._packed(cols, p, data)
 
     @classmethod
     def from_bits(cls, rows: Sequence[int], cols: int, p: int) -> "PrimeFieldMatrix":
@@ -78,7 +78,7 @@ class PrimeFieldMatrix:
         if any(bits >> cols for bits in rows):  # -1 for a negative row
             raise ValueError(f"every row must be a set of bits below bit {cols}")
         data = list(rows) if p == 2 else [[(b >> j) & 1 for j in range(cols)] for b in rows]
-        return cls._packed(len(data), cols, p, data)
+        return cls._packed(cols, p, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, p: int) -> "PrimeFieldMatrix":
@@ -135,21 +135,12 @@ class PrimeFieldMatrix:
 
     def __add__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
         self._check_same_shape(other)
-        if self.p == 2:
-            data = [a ^ b for a, b in zip(self._data, other._data)]
-        else:
-            p = self.p
-            data = [
-                [(a + b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        return PrimeFieldMatrix._packed(self.rows, self.cols, self.p, data)
+        pairs = zip(self.to_lists(), other.to_lists())
+        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in pairs]
+        return self._of_rows(rows, self.cols, self.p)
 
     def __neg__(self) -> "PrimeFieldMatrix":
-        if self.p == 2:
-            return self
-        data = [[(-v) % self.p for v in row] for row in self._data]
-        return PrimeFieldMatrix._packed(self.rows, self.cols, self.p, data)
+        return self._of_rows([[-v for v in row] for row in self.to_lists()], self.cols, self.p)
 
     def __sub__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
         return self + (-other)
@@ -161,26 +152,9 @@ class PrimeFieldMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        if self.p == 2:
-            data = []
-            for bits in self._data:
-                acc = 0
-                for j in _iter_bits(bits):
-                    acc ^= other._data[j]
-                data.append(acc)
-        else:
-            p = self.p
-            cols = other.cols
-            data = []
-            for row in self._data:
-                acc = [0] * cols
-                for j, v in enumerate(row):
-                    if v:
-                        orow = other._data[j]
-                        for k in range(cols):
-                            acc[k] += v * orow[k]
-                data.append([v % p for v in acc])
-        return PrimeFieldMatrix._packed(self.rows, other.cols, self.p, data)
+        columns = other.transpose().to_lists()
+        rows = [[sum(a * b for a, b in zip(r, c)) for c in columns] for r in self.to_lists()]
+        return self._of_rows(rows, other.cols, self.p)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -192,14 +166,9 @@ class PrimeFieldMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self._data)
 
     def transpose(self) -> "PrimeFieldMatrix":
-        if self.p == 2:
-            data = [
-                _pack_bits((self._data[i] >> j) & 1 for i in range(self.rows))
-                for j in range(self.cols)
-            ]
-        else:
-            data = [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return PrimeFieldMatrix._packed(self.cols, self.rows, self.p, data)
+        rows = self.to_lists()
+        columns = [[row[j] for row in rows] for j in range(self.cols)]
+        return self._of_rows(columns, self.rows, self.p)
 
 
 def _echelon_modp(rows, ncols, p, reduced):
@@ -247,7 +216,7 @@ def _profile(M: PrimeFieldMatrix, pivots: list[int]) -> RankProfile:
 def rref(M: PrimeFieldMatrix) -> tuple[PrimeFieldMatrix, RankProfile]:
     """Reduced row echelon form with its rank profile."""
     data, pivots = _echelon(M._data, M.cols, M.p, reduced=True)
-    R = PrimeFieldMatrix._packed(M.rows, M.cols, M.p, data)
+    R = PrimeFieldMatrix._packed(M.cols, M.p, data)
     return R, _profile(M, pivots)
 
 
@@ -257,11 +226,33 @@ def rank_nullity(M: PrimeFieldMatrix) -> RankProfile:
     return _profile(M, pivots)
 
 
+def _null_vector(rows, pivots: list[int], f: int, ncols: int, p: int) -> tuple[int, ...]:
+    """The null-space vector of a forward echelon form at its free column f.
+
+    x[f] = 1, x is 0 at the other free columns, and the pivot entries are
+    filled right to left.  A pivot row has a 1 in its pivot column and 0s
+    left of it, so the pivot entries right of f stay 0.
+    """
+    k = bisect_left(pivots, f)
+    backward = list(zip(pivots[:k], rows[:k]))[::-1]  # pivots left of f, right to left
+    if p == 2:
+        xbits = 1 << f
+        for c, row in backward:
+            if (row & xbits).bit_count() & 1:
+                xbits |= 1 << c
+        return _unpack_bits(xbits, ncols)
+    x = [0] * ncols
+    x[f] = 1
+    for c, row in backward:
+        x[c] = -sum(row[j] * x[j] for j in range(c + 1, f + 1)) % p
+    return tuple(x)
+
+
 def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One solution of Mx = b, or None when b is outside the column space.
 
     Free variables are 0, so the solution is the one read off the RREF of
-    [M | b]; it is found by forward elimination and back-substitution.
+    [M | b]: it is the null vector of [M | -b] at the last column.
     """
     if len(b) != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows} rows vs {len(b)} entries")
@@ -270,40 +261,25 @@ def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     if p == 2:
         aug = [row | ((v & 1) << n) for row, v in zip(M._data, b)]
     else:
-        aug = [row + [v % p] for row, v in zip(M._data, b)]
-    data, pivots = _echelon(aug, n + 1, p, reduced=False)
+        aug = [row + [-v % p] for row, v in zip(M._data, b)]
+    rows, pivots = _echelon(aug, n + 1, p, reduced=False)
     if pivots and pivots[-1] == n:
         return None
-    # Pivot rows have a 1 in their pivot column and 0 left of it; fill the
-    # pivot variables right to left.  At p = 2, x is the bit set xbits.
-    xbits = 0
-    x = [0] * n
-    for k in range(len(pivots) - 1, -1, -1):
-        c, row = pivots[k], data[k]
-        if p == 2:
-            if ((row >> n) ^ (row & xbits).bit_count()) & 1:
-                xbits |= 1 << c
-        else:
-            x[c] = (row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) % p
-    return _unpack_bits(xbits, n) if p == 2 else tuple(x)
+    return _null_vector(rows, pivots, n, n + 1, p)[:n]
 
 
 def kernel_basis(M: PrimeFieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of the null space, one vector per free column of the RREF."""
-    R, profile = rref(M)
-    pivot_set = set(profile.pivot_columns)
-    basis = []
-    for f in range(M.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * M.cols
-        v[f] = 1
-        for k, c in enumerate(profile.pivot_columns):
-            coeff = R[k, f]
-            if coeff:
-                v[c] = (-coeff) % M.p
-        basis.append(tuple(v))
-    return basis
+    """Basis of the null space, one vector per free column.
+
+    The vector at free column f is 1 there and 0 at the other free columns,
+    which makes the basis the one read off the RREF; a forward elimination
+    is enough to find it.
+    """
+    rows, pivots = _echelon(M._data, M.cols, M.p, reduced=False)
+    pivot_set = set(pivots)
+    return [
+        _null_vector(rows, pivots, f, M.cols, M.p) for f in range(M.cols) if f not in pivot_set
+    ]
 
 
 def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix | None:
@@ -311,43 +287,21 @@ def inverse(M: PrimeFieldMatrix) -> PrimeFieldMatrix | None:
     if not M.is_square:
         raise ValueError("only square matrices can be inverted")
     n = M.rows
-    p = M.p
-    if p == 2:
-        aug = [M._data[i] | (1 << (n + i)) for i in range(n)]
-    else:
-        aug = [M._data[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    data, pivots = _echelon(aug, 2 * n, p, reduced=True)
-    if len(pivots) < n or pivots[n - 1] != n - 1:
+    unit = PrimeFieldMatrix.identity(n, M.p).to_lists()
+    aug = [row + e for row, e in zip(M.to_lists(), unit)]
+    R, profile = rref(PrimeFieldMatrix._of_rows(aug, 2 * n, M.p))
+    if profile.pivot_columns[:n] != tuple(range(n)):
         return None
-    out = [row >> n for row in data] if p == 2 else [row[n:] for row in data]
-    return PrimeFieldMatrix._packed(n, n, p, out)
+    return PrimeFieldMatrix._of_rows([row[n:] for row in R.to_lists()], n, M.p)
 
 
 def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """Kronecker product: block (i, j) of the result is M[i, j] * N."""
     if M.p != N.p:
         raise ValueError(f"field mismatch: GF({M.p}) vs GF({N.p})")
-    p = M.p
-    if p == 2:
-        data = []
-        for mbits in M._data:
-            for nbits in N._data:
-                acc = 0
-                for j in _iter_bits(mbits):
-                    acc |= nbits << (j * N.cols)
-                data.append(acc)
-    else:
-        data = []
-        for mrow in M._data:
-            for nrow in N._data:
-                out = [0] * (M.cols * N.cols)
-                for j, mv in enumerate(mrow):
-                    if mv:
-                        base = j * N.cols
-                        for k, nv in enumerate(nrow):
-                            out[base + k] = (mv * nv) % p
-                data.append(out)
-    return PrimeFieldMatrix._packed(M.rows * N.rows, M.cols * N.cols, p, data)
+    nrows = N.to_lists()
+    rows = [[a * b for a in mrow for b in nrow] for mrow in M.to_lists() for nrow in nrows]
+    return PrimeFieldMatrix._of_rows(rows, M.cols * N.cols, M.p)
 
 
 def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -387,4 +341,4 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
                         idx = l * m + i
                         row[idx] = (row[idx] - v) % p
                 data.append(row)
-    return PrimeFieldMatrix._packed(m * n, m * n, p, data)
+    return PrimeFieldMatrix._packed(m * n, p, data)

@@ -15,7 +15,9 @@ from lightsout import cli, formulas, game, gfmat, snf
 from lightsout.gfpoly import Poly
 
 
-SCHEMA = json.load(open("docs/report_schema.json", encoding="utf-8"))
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "report_schema.json").read_text(encoding="utf-8")
+)
 
 
 def run_json(argv, capsys):

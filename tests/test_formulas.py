@@ -169,6 +169,22 @@ class TestPathProductNullity:
                 continue
             assert nullity_path_product(m, s) == 0
 
+    def test_path_charpoly_recurrence_matches_the_oracle(self):
+        # c_path is monic of degree m, so gcd(c_path, c) has degree m iff c_path = c.
+        for p in (2, 3, 5, 7):
+            for m in range(1, 16):
+                c = snf.charpoly_oracle(formulas.path_adjacency(m), p)
+                assert nullity_path_product(m, SnfResult((c,))) == m, (m, p)
+
+    def test_runs_without_the_charpoly_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("charpoly_oracle called")
+
+        for module in (snf, formulas):
+            monkeypatch.setattr(module, "charpoly_oracle", refuse)
+        s = invariant_factors(adjacency(game.star_graph(5)))
+        assert nullity_path_product(3, s) == 5
+
     def test_rejects_empty_path(self):
         with pytest.raises(ValueError):
             nullity_path_product(0, SnfResult((P("x"),)))

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from helpers import all_vectors
-from lightsout import game, gfmat
+from lightsout import _gf2kernel, game, gfmat
 from lightsout.game import (
     Graph,
     GraphParseError,
@@ -275,6 +275,23 @@ class TestSolvePresses:
             for x in sol.all_solutions():
                 assert M.mul_vec(x) == config
 
+    def test_one_elimination_per_instance(self, monkeypatch):
+        calls = []
+        original = _gf2kernel.echelon_bits
+
+        def counted(rows, ncols, reduced=True):
+            calls.append(reduced)
+            return original(rows, ncols, reduced)
+
+        monkeypatch.setattr(_gf2kernel, "echelon_bits", counted)
+        for config in ((1, 0, 1), (1, 0, 0)):
+            calls.clear()
+            solve_presses(LightsInstance(game.path_graph(3), "open", config))
+            assert calls == [False]
+        calls.clear()
+        solve_presses(LightsInstance(build_family("grid:8x8"), "closed", (1,) * 64))
+        assert calls == [False]
+
 
 class TestCountExponents:
     def test_path3_open(self):
@@ -334,6 +351,16 @@ class TestSylvesterSolve:
             sylvester_solve(A, A, PrimeFieldMatrix.zeros(3, 2, 2))
         with pytest.raises(ValueError):
             sylvester_solve(A, PrimeFieldMatrix([[0]], 3), PrimeFieldMatrix.zeros(2, 1, 2))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solution_has_the_problem_shape_when_a_side_is_empty(self, p):
+        for m, n in ((0, 3), (3, 0), (0, 0)):
+            A = switching_matrix(game.random_graph(m, random.Random(m)), "open", p)
+            B = switching_matrix(game.random_graph(n, random.Random(n)), "closed", p)
+            C = PrimeFieldMatrix.zeros(m, n, p)
+            X = sylvester_solve(A, B, C)
+            assert (X.rows, X.cols) == (m, n)
+            assert (A @ X) - (X @ B) == C
 
     def test_solution_found_iff_vectorized_system_solvable(self):
         rng = random.Random(163)

@@ -10,6 +10,7 @@ from helpers import (
     random_invertible,
     random_matrix01,
     random_modp_matrix,
+    random_symmetric01,
 )
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
@@ -102,6 +103,44 @@ class TestArithmetic:
             A = PrimeFieldMatrix(random_modp_matrix(3, 7, p, rng), p)
             assert A.transpose().transpose() == A
             assert A.transpose()[2, 1] == A[1, 2]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_empty_shapes_keep_their_dimensions(self, p):
+        rng = random.Random(61 + p)
+
+        def shape(M):
+            return (M.rows, M.cols)
+
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            A = PrimeFieldMatrix.zeros(rows, cols, p)
+            assert shape(A.transpose()) == (cols, rows)
+            assert A.transpose().transpose() == A
+            assert shape(A + A) == shape(A - A) == shape(-A) == (rows, cols)
+        product = PrimeFieldMatrix.zeros(2, 0, p) @ PrimeFieldMatrix.zeros(0, 3, p)
+        assert product == PrimeFieldMatrix.zeros(2, 3, p)
+        assert shape(PrimeFieldMatrix.zeros(0, 2, p) @ PrimeFieldMatrix.zeros(2, 3, p)) == (0, 3)
+        B = PrimeFieldMatrix(random_modp_matrix(2, 3, p, rng), p)
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            Z = PrimeFieldMatrix.zeros(rows, cols, p)
+            assert shape(gfmat.kronecker(Z, B)) == (rows * 2, cols * 3)
+            assert shape(gfmat.kronecker(B, Z)) == (2 * rows, 3 * cols)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_operators_match_entrywise_definitions(self, p):
+        rng = random.Random(67 + p)
+        for _ in range(10):
+            m, k, n = (rng.randint(1, 5) for _ in range(3))
+            A = PrimeFieldMatrix(random_modp_matrix(m, k, p, rng), p)
+            A2 = PrimeFieldMatrix(random_modp_matrix(m, k, p, rng), p)
+            B = PrimeFieldMatrix(random_modp_matrix(k, n, p, rng), p)
+            for i in range(m):
+                for j in range(k):
+                    assert (A + A2)[i, j] == (A[i, j] + A2[i, j]) % p
+                    assert (A - A2)[i, j] == (A[i, j] - A2[i, j]) % p
+                    assert (-A)[i, j] == -A[i, j] % p
+                    assert A.transpose()[j, i] == A[i, j]
+                for j in range(n):
+                    assert (A @ B)[i, j] == sum(A[i, l] * B[l, j] for l in range(k)) % p
 
     def test_shape_and_field_mismatches(self):
         with pytest.raises(ValueError):
@@ -272,6 +311,42 @@ class TestKernelBasis:
                     stacked = PrimeFieldMatrix(basis, p)
                     assert gfmat.rank_nullity(stacked).rank == len(basis)
 
+    def test_equals_the_rref_reading(self):
+        # The RREF basis vector at free column f is 1 at f, 0 at the other
+        # free columns and -R[k, f] at the k-th pivot column.
+        def rref_reading(M):
+            R, profile = gfmat.rref(M)
+            basis = []
+            for f in range(M.cols):
+                if f in profile.pivot_columns:
+                    continue
+                v = [0] * M.cols
+                v[f] = 1
+                for k, c in enumerate(profile.pivot_columns):
+                    v[c] = -R[k, f] % M.p
+                basis.append(tuple(v))
+            return basis
+
+        rng = random.Random(71)
+        for p in (2, 3, 5):
+            for _ in range(60):
+                rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+                if rows and cols and rng.getrandbits(1):
+                    rank = rng.randint(1, min(rows, cols))
+                    M = PrimeFieldMatrix(random_modp_matrix(rows, rank, p, rng), p) @ (
+                        PrimeFieldMatrix(random_modp_matrix(rank, cols, p, rng), p)
+                    )
+                elif rows:
+                    M = PrimeFieldMatrix(random_modp_matrix(rows, cols, p, rng), p)
+                else:
+                    M = PrimeFieldMatrix.zeros(0, cols, p)
+                assert gfmat.kernel_basis(M) == rref_reading(M), (p, rows, cols)
+        # 144 rows take the GF(2) kernel's striped path
+        for _ in range(3):
+            A = PrimeFieldMatrix(random_symmetric01(12, rng), 2)
+            L = gfmat.sylvester_operator(A, A)
+            assert gfmat.kernel_basis(L) == rref_reading(L)
+
 
 class TestInverse:
     def test_round_trip(self):
@@ -282,6 +357,10 @@ class TestInverse:
                 inv = gfmat.inverse(M)
                 assert inv @ M == PrimeFieldMatrix.identity(n, p)
                 assert M @ inv == PrimeFieldMatrix.identity(n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_empty_matrix_is_its_own_inverse(self, p):
+        assert gfmat.inverse(PrimeFieldMatrix.zeros(0, 0, p)) == PrimeFieldMatrix.zeros(0, 0, p)
 
     def test_singular_returns_none(self):
         assert gfmat.inverse(PrimeFieldMatrix.zeros(2, 2, 2)) is None
