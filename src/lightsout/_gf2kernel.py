@@ -4,18 +4,24 @@ Each row is one Python int; bit j is column j.  Python's big-int XOR already
 works a machine word at a time, so the cost that matters is the number of
 Python-level row operations.
 
-While many rows remain, columns are taken in stripes of ``STRIPE`` = 8 by
-the Method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970;
-Bard, IACR ePrint 2006/251; Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
-The stripe's pivots are found exactly as column-at-a-time elimination finds
-them: rows are scanned lazily, each scanned row is reduced by the stripe's
-earlier pivots, and the first row with the bit is swapped in.  Then one
-table of the 2^8 XOR combinations of the stripe's pivot rows fixes every
-row past the last one scanned (and, when reduced, every row above the
-stripe) with one lookup and one XOR.  Building the table costs about 2^8
-XORs, so the kernel takes stripes only while a step would touch more than
-``TABLE_MIN_ROWS`` = 64 rows (all rows when reduced, the rows below the
-pivot row otherwise) and plain column steps after that.
+While many rows remain, columns are taken in stripes by the Method of Four
+Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970; Bard, IACR ePrint
+2006/251; Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).  The stripe's
+pivots are found exactly as column-at-a-time elimination finds them: rows
+are scanned lazily, each scanned row is reduced by the stripe's earlier
+pivots, and the first row with the bit is swapped in.  Then tables of the
+XOR combinations of the stripe's pivot rows fix every row past the last one
+scanned (and, when reduced, every row above the stripe) in one pass.  A
+row's index ``(row & smask) >> c0`` masks before it shifts, so it copies
+about c1 bits of the row, not the ncols - c0 bits that ``row >> c0`` copies.
+
+Stripes are taken while a step would touch more than ``TABLE_MIN_ROWS`` =
+64 rows (all rows when reduced, the rows below the pivot row otherwise).
+They have ``STRIPE`` = 8 columns and one table of 2^8 entries; past 3 * 2^8
+= 768 rows, 24 columns and three 8-bit tables, looked up in one pass.  The
+tables cost the same 3 * 2^8 XORs either way: the wide stripe trades two
+passes over the rows for a 24-column pivot search, a few hundred row
+operations, and is worth it once the rows outnumber its table entries.
 
 Both contracts are those of plain column-at-a-time elimination, bit for
 bit: ``reduced=True`` gives the reduced row echelon form, and
@@ -35,6 +41,9 @@ STRIPE = 8
 # this cutover, tables sped up dense, random Sylvester and path/cycle
 # Sylvester operators of 96 rows and more; with 32 they slowed 36-64 row ones.
 TABLE_MIN_ROWS = 64
+# Tables per wide stripe, taken when a step touches more rows than they hold.
+_FUSED = 3
+_FUSED_MIN_ROWS = _FUSED << STRIPE
 
 # This is the only kernel; see available_backends for why the name stays.
 BACKEND = "pure"
@@ -60,8 +69,8 @@ def echelon_bits(
     c = 0
     # Rows touched per step only fall in forward mode, so once steps are
     # plain column steps they stay so.
-    while c < ncols and r < m and (m if reduced else m - r) > TABLE_MIN_ROWS:
-        end = min(c + STRIPE, ncols)
+    while c < ncols and r < m and (touched := m if reduced else m - r) > TABLE_MIN_ROWS:
+        end = min(c + (_FUSED * STRIPE if touched > _FUSED_MIN_ROWS else STRIPE), ncols)
         r = _stripe(out, r, c, end, reduced, pivots)
         c = end
     for c in range(c, ncols):
@@ -136,17 +145,36 @@ def _stripe(
         for i in range(j):
             if piv_rows[i] & mj:
                 piv_rows[i] ^= pj
-    # table[idx] is the XOR of the pivot rows whose columns are set in idx;
-    # bits of idx at the stripe's free columns select nothing.
+    # One table per STRIPE columns (past c1 a table is just [0]):
+    # tables[k][idx] is the XOR of the pivot rows whose columns are set in
+    # idx; bits of idx at the stripe's free columns select nothing.
     by_column = dict(zip(pivots[r0 - r :], piv_rows))
-    table = [0]
-    for c in range(c0, c1):
-        e = by_column.get(c, 0)
-        table += [t ^ e for t in table]
-    wmask = (1 << (c1 - c0)) - 1
-    out[scanned:] = [row ^ table[row >> c0 & wmask] for row in out[scanned:]]
+    tables = []
+    for lo in range(c0, c0 + _FUSED * STRIPE, STRIPE):
+        table = [0]
+        for c in range(lo, min(lo + STRIPE, c1)):
+            e = by_column.get(c, 0)
+            table += [t ^ e for t in table]
+        tables.append(table)
+    smask = ((1 << (c1 - c0)) - 1) << c0
+    t0, t1, t2 = tables
+    if c1 - c0 <= STRIPE:
+
+        def fix(rows: list[int]) -> list[int]:
+            return [row ^ t0[(row & smask) >> c0] for row in rows]
+
+    else:
+        # Each pivot row clears only its own column among the stripe's pivot
+        # columns, so every byte's index can be read off the original row.
+        low, b = (1 << STRIPE) - 1, STRIPE
+
+        def fix(rows: list[int]) -> list[int]:
+            return [row ^ t0[s & low] ^ t1[s >> b & low] ^ t2[s >> 2 * b]
+                    for row in rows for s in [(row & smask) >> c0]]
+
+    out[scanned:] = fix(out[scanned:])
     if reduced:
-        out[:r0] = [row ^ table[row >> c0 & wmask] for row in out[:r0]]
+        out[:r0] = fix(out[:r0])
         out[r0:r] = piv_rows
     return r
 

@@ -158,17 +158,17 @@ def parse_graph_text(text: str, source: str = "<string>") -> Graph:
     """
     n: int | None = None
     edges: set[tuple[int, int]] = set()
+
+    def err(msg: str, index: int | None = None):
+        # The current line's token columns, found only when there is an error.
+        col = 1 if index is None else [m.start() + 1 for m in re.finditer(r"\S+", raw)][index]
+        return GraphParseError(f"{source}:{lineno}:{col}: {msg}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        columns = [m.start() + 1 for m in re.finditer(r"\S+", raw)]
-
-        def err(msg: str, index: int | None = None):
-            col = columns[index] if index is not None else 1
-            return GraphParseError(f"{source}:{lineno}:{col}: {msg}")
-
         if n is None:
             if len(tokens) != 1 or not tokens[0].isdigit():
                 raise err(f"expected vertex count, got {line!r}", 0)

@@ -4,8 +4,8 @@ Matrices are plain rows of Poly: ``char_matrix`` returns the rows of
 xI - A, and ``smith_normal_form`` takes any square list of rows and returns
 Poly invariant factors.  The reduction diagonalizes by Euclidean division,
 then turns the diagonal into the ordered invariant factors
-s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges; a pivot equal to
-1 takes a one-sweep step with no division.  Over GF(2) ``char_matrix``
+s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges; a unit pivot
+takes a one-sweep step with no division.  Over GF(2) ``char_matrix``
 fills every row from four shared entries (0, 1, x, x + 1), the loop runs
 on ``gfpoly``'s packed polynomials, and Poly objects are built only for the
 non-unit results, which ``gfpoly.prod`` multiplies packed again.  Two
@@ -137,11 +137,12 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
     monic at the end.
 
-    A pivot equal to 1 divides everything with remainder 0, so phase 1
-    takes a shorter step for it: subtract row[k] times the pivot row from
-    each row, zero the pivot row and column, and move on.  That is the
-    matrix the general step gives, without its divisions or second sweep;
-    over GF(2) every pivot of degree 0 is 1.
+    A unit pivot c (degree 0) divides everything with remainder 0, so
+    phase 1 takes a shorter step for it: subtract row[k]·c⁻¹ times the
+    pivot row from each row, zero the pivot row and column, and move on.
+    That is the matrix the general step gives, without its divisions or
+    second sweep.  Over GF(2) every unit is 1; at odd p the off-diagonal
+    entries of xI - A are -1, which take this step too.
 
     Over GF(2) the entries are packed into ints on entry and the loop runs
     on the int operations; the result is Poly either way, and unit
@@ -181,11 +182,14 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
                 row[k], row[bj] = row[bj], row[k]
             krow = a[k]
             pivot = krow[k]
-            if pivot == one:  # every quotient is exact: one sweep clears both
+            if size(pivot) == 1:  # every quotient is exact: one sweep clears both
+                inv = None if pivot == one else Poly((pow(pivot.lead, -1, p),), p)
                 tail = [j for j in range(k + 1, n) if krow[j]]
                 for row in a[k + 1 :]:
                     q = row[k]
                     if q:
+                        if inv is not None:
+                            q = mul(q, inv)
                         for j in tail:
                             row[j] = sub(row[j], mul(q, krow[j]))
                         row[k] = zero

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import echelon_bits_by_columns, random_symmetric01
 import lightsout
-from lightsout import _gf2kernel, gfmat
+from lightsout import _gf2kernel, game, gfmat
 from lightsout.gfmat import PrimeFieldMatrix
 
 
@@ -84,6 +84,56 @@ class TestPureKernel:
     def test_empty_inputs(self):
         assert _gf2kernel.echelon_bits([], 5) == ([], [])
         assert _gf2kernel.echelon_bits([0, 0], 0) == ([0, 0], [])
+
+
+class TestFusedStripes:
+    """Steps that touch more than 3 * 2^8 rows take 24-column stripes and fix
+    each row with three 8-bit tables in one pass; the output stays that of
+    column-at-a-time elimination."""
+
+    CUT = _gf2kernel._FUSED_MIN_ROWS
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "combined"])
+    def test_row_counts_around_the_cutover(self, kind):
+        # Tall: forward steps touch m - r rows with r <= ncols, so the first
+        # stripe is fused exactly when m > CUT.  Reduced, every stripe is;
+        # 61 columns leave a last stripe of 13 (two tables and an empty
+        # third), 50 one of 2 (one table).
+        rng = random.Random(f"fused-{kind}")
+        for m in range(self.CUT - 3, self.CUT + 4):
+            for ncols in (61, 50):
+                assert_matches_reference(rows_of_kind(kind, m, ncols, rng), ncols)
+
+    def test_stripes_at_high_column_offsets(self):
+        # 20 rows span every column; the other 880 start at column 1000, so
+        # columns 20-999 are free and every stripe past 1000 is fused.
+        rng = random.Random(41)
+        rows = [rng.getrandbits(1100) for _ in range(20)]
+        rows += [rng.getrandbits(100) << 1000 for _ in range(880)]
+        rng.shuffle(rows)
+        assert_matches_reference(rows, 1100)
+
+    @pytest.mark.parametrize("width", range(1, 24, 4))
+    def test_last_stripe_narrower_than_24(self, width):
+        rng = random.Random(width)
+        ncols = 48 + width
+        assert_matches_reference([rng.getrandbits(ncols) for _ in range(self.CUT + 80)], ncols)
+
+    def test_free_columns_inside_a_stripe(self):
+        # Zero columns, and column 60 a copy of column 4, put free columns
+        # inside each of the first three 24-column stripes.
+        rng = random.Random(43)
+        free = sum(1 << c for c in (1, 9, 10, 23, 30, 47, 48, 60, 71))
+        rows = []
+        for _ in range(self.CUT + 30):
+            row = rng.getrandbits(90) & ~free
+            row |= (row >> 4 & 1) << 60
+            rows.append(row)
+        assert_matches_reference(rows, 90)
+
+    def test_banded_grid_switching_matrix(self):
+        M = game.switching_matrix(game.build_family("grid:32x32"), "closed")
+        assert_matches_reference(list(M._data), M.cols)
 
 
 class TestKernelBinding:

@@ -303,6 +303,16 @@ class TestPackedGF2:
                     nonsingular += 1
         assert nonsingular > 100
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_odd_p_unit_pivots_take_the_step_without_division(self, p, monkeypatch):
+        # the off-diagonal pivots of xI - A at odd p are -1, not 1
+        calls = []
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: calls.append(g) or divmod_(f, g))
+        s = snf.invariant_factors(switching_matrix(path_graph(8), "open", p))
+        assert calls == []
+        assert [f.degree for f in s.invariant_factors] == [0] * 7 + [8]
+
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
         self.assert_matches_reference(snf.char_matrix(A))
