@@ -16,7 +16,8 @@ is marked ``skipped`` in every verb.  charpoly counts an n-vertex graph as
 n * n, so the default cap runs its O(n^4) oracle up to n = 64.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
-n x n pairs computes n Smith forms in open mode and 2n in closed, not 2n^2.
+n x n pairs computes n invariant-factor lists in open mode and 2n in closed,
+not 2n^2; each is one Krylov pass and a k x k Smith form (``snf``).
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),

@@ -8,9 +8,9 @@ representation is internal: construction, indexing and equality behave
 identically for every modulus.
 
 Packed rows are read only where CLI verbs and brute-force oracles loop:
-construction, entry access, elimination, ``sylvester_operator`` and
-``mul_vec`` (over residue rows the exhaustive press-set checks ran about 15
-times slower).  ``+``, ``-``, ``@``, ``transpose``, ``inverse`` and
+construction, entry access, elimination, ``sylvester_operator``, ``mul_vec``
+(over residue rows the exhaustive press-set checks ran about 15 times
+slower) and, from ``_data``, ``snf.krylov_relations``.  ``+``, ``-``, ``@``, ``transpose``, ``inverse`` and
 ``kronecker`` are written once, over residue rows, through ``_of_rows``.
 
 All operations are pure functions on value-semantic inputs; nothing mutates

@@ -1,18 +1,25 @@
-"""Smith normal form of characteristic matrices over GF(p)[x].
+"""Smith normal form and invariant factors over GF(p)[x].
 
-Matrices are plain rows of Poly: ``char_matrix`` returns the rows of
-xI - A, and ``smith_normal_form`` takes any square list of rows and returns
-Poly invariant factors.  The reduction diagonalizes by Euclidean division,
-then turns the diagonal into the ordered invariant factors
-s_1 | s_2 | ... | s_m, each monic, by gcd/lcm exchanges; a unit pivot
-takes a one-sweep step with no division.  Over GF(2) ``char_matrix``
-fills every row from four shared entries (0, 1, x, x + 1), the loop runs
-on ``gfpoly``'s packed polynomials, and Poly objects are built only for the
-non-unit results, which ``gfpoly.prod`` multiplies packed again.  Two
-independent routes to the characteristic polynomial are provided: the
-product of the invariant factors, and a
-division-free (Berkowitz) expansion over the integers reduced mod p.  They
-must agree; the test suite leans on that cross-check heavily.
+``invariant_factors(A)`` never builds the n x n matrix xI - A.
+``krylov_relations`` takes GF(p)^n as a GF(p)[x]-module, x acting by
+v -> vA, picks k cyclic generators among e_1, e_2, ... and returns their
+k x k relation matrix R (Keller-Gehrig, TCS 36, 1985; Storjohann, ISSAC
+1998), in O(n^2) row operations on packed ints at p = 2 and residue lists
+at odd p.  The invariant factors of xI - A are n - k ones followed by those
+of R: k is mostly 1-4 for random graphs and m on an m x m grid.  At odd p R's
+entries carry the signs of the reduction; the factors come out monic.
+
+``smith_normal_form`` takes any square list of Poly rows and returns Poly
+invariant factors.  It diagonalizes by Euclidean division, then turns the
+diagonal into the ordered invariant factors s_1 | s_2 | ... | s_m, each
+monic, by gcd/lcm exchanges; a unit pivot takes a one-sweep step with no
+division.  Over GF(2) the loop runs on ``gfpoly``'s packed polynomials, and
+Poly objects are built only for the non-unit results.  ``char_matrix``
+returns the rows of xI - A, the tests' reference route.  Two independent
+routes to the characteristic polynomial are provided: the product of the
+invariant factors, and a division-free (Berkowitz) expansion over the
+integers reduced mod p.  They must agree; the test suite leans on that
+cross-check heavily.
 """
 
 from __future__ import annotations
@@ -64,31 +71,21 @@ class FactorData:
         )
 
 
-#: The entries of xI - A over GF(2), shared by every characteristic matrix
-#: (Poly is immutable): off-diagonal -c and diagonal x - c, indexed by c.
-_GF2_OFF = (Poly((), 2), Poly((1,), 2))
-_GF2_DIAG = (Poly((0, 1), 2), Poly((1, 1), 2))
-_GF2_ONE = _GF2_OFF[1]
+#: The GF(2) zero and unit, shared by every relation matrix and result (Poly
+#: is immutable).
+_GF2_ZERO, _GF2_ONE = Poly((), 2), Poly((1,), 2)
 
 
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
     """The rows of the characteristic matrix xI - A over GF(p)[x].
 
-    Entries are shared: one Poly per distinct off-diagonal value -c and one
-    per distinct diagonal value x - c (Poly is immutable).  Over GF(2) these
-    are the four constants 0, 1, x and x + 1, built once at import.
+    The reference route of the tests: ``invariant_factors`` never builds
+    it.  Entries are shared: one Poly per distinct off-diagonal value -c and
+    one per distinct diagonal value x - c (Poly is immutable).
     """
     if not A.is_square:
         raise ValueError("characteristic matrix requires a square matrix")
     p = A.p
-    if p == 2:
-        out = []
-        for i in range(A.rows):
-            row = A.row(i)
-            entries = [_GF2_OFF[c] for c in row]
-            entries[i] = _GF2_DIAG[row[i]]
-            out.append(entries)
-        return out
     rows = A.to_lists()
     const = {c: Poly((-c,), p) for c in {c for row in rows for c in row}}
     diag = {c: Poly((-c, 1), p) for c in {row[i] for i, row in enumerate(rows)}}
@@ -228,9 +225,85 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     return SnfResult(tuple([one if size(f) == 1 else f.monic() for f in d]))
 
 
+def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:
+    """(n - k, R) for GF(p)^n as a GF(p)[x]-module, x acting by v -> vA.
+
+    Takes e_1, e_2, ... in turn, skipping each one already spanned, and
+    extends the kept v_i by v_i A, v_i A^2, ... until v_i A^d_i reduces to
+    zero against an echelon basis of every vector so far.  A basis row is a
+    reduced vector followed by a tag, the Krylov combination it equals, so
+    a zero reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
+    R is lower triangular, R_ii is monic of degree d_i, R_ij has degree
+    < d_j, and the d_i sum to n.  Raises ValueError for a non-square matrix.
+    """
+    if not A.is_square:
+        raise ValueError("Krylov relations require a square matrix")
+    n, p, rows = A.rows, A.p, A._data
+    pivots: list = [None] * n  # column -> the basis row whose first nonzero entry, 1, is there
+    if p == 2:
+        def times_a(u):
+            w = 0
+            while u:
+                low = u & -u
+                w ^= rows[low.bit_length() - 1]
+                u ^= low
+            return w
+
+        def reduce(u, m):  # the relation's tag, or None after adding a basis row
+            w = u | 1 << (n + m)
+            while (c := (w & -w).bit_length() - 1) < n:
+                if pivots[c] is None:
+                    pivots[c] = w
+                    return None
+                w ^= pivots[c]
+            return _unpack_bits(w >> n, m + 1)
+    else:
+        def times_a(u):
+            w = [0] * n
+            for c, row in zip(u, rows):
+                if c:
+                    w = list(map(operator.add, w, map(c.__mul__, row)))
+            return [a % p for a in w]
+
+        def reduce(u, m):  # entries are reduced mod p only where read
+            w, c = u + [0] * m + [1], 0
+            while (c := next(j for j in range(c, n + m + 1) if w[j] % p)) < n:
+                row = pivots[c]  # stored from column c on
+                if row is None:
+                    inv = pow(w[c], -1, p)
+                    pivots[c] = [a * inv % p for a in w[c:]]
+                    return None
+                f, end = w[c] % p, c + len(row)
+                w[c:end] = map(operator.sub, w[c:end], map(f.__mul__, row))
+            return [a % p for a in w[n:]]
+    starts, tags, m = [], [], 0
+    for e in range(n):
+        if m == n:
+            break
+        u, start = 1 << e if p == 2 else [int(j == e) for j in range(n)], m
+        while (tag := reduce(u, m)) is None:
+            m, u = m + 1, times_a(u)
+        if m > start:
+            starts.append(start)
+            tags.append(tag)
+    zero = _GF2_ZERO if p == 2 else Poly.zero(p)
+    R = [[zero] * len(tags) for _ in tags]
+    for i, tag in enumerate(tags):  # R_ii also takes the tag's last entry, its x^d_i coefficient 1
+        for j, (lo, hi) in enumerate(zip(starts[: i + 1], starts[1:] + [n])):
+            if any(coeffs := tag[lo : hi + (i == j)]):
+                R[i][j] = Poly(coeffs, p)
+    return n - len(R), R
+
+
 def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
-    """Invariant factors of xI - A."""
-    return smith_normal_form(char_matrix(A))
+    """Invariant factors of xI - A: n - k ones, then those of ``krylov_relations``' R.
+
+    R presents the module of A^T, whose invariant factors are A's.  At odd
+    p R carries signs (R_ii = x^d_i - ...); the factors come out monic.
+    """
+    ones, R = krylov_relations(A)
+    unit = _GF2_ONE if A.p == 2 else Poly.one(A.p)
+    return SnfResult((unit,) * ones + smith_normal_form(R).invariant_factors)
 
 
 def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:

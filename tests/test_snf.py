@@ -15,6 +15,9 @@ from helpers import (
 )
 from lightsout import gfmat, snf
 from lightsout.game import (
+    build_family,
+    complete_graph,
+    cycle_graph,
     path_graph,
     petersen_graph,
     random_graph,
@@ -313,6 +316,17 @@ class TestPackedGF2:
         assert calls == []
         assert [f.degree for f in s.invariant_factors] == [0] * 7 + [8]
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_odd_p_char_matrix_unit_pivots_take_the_step_without_division(self, p, monkeypatch):
+        # invariant_factors no longer builds xI - A, so reach the step directly
+        calls = []
+        divmod_ = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: calls.append(g) or divmod_(f, g))
+        M = snf.char_matrix(switching_matrix(path_graph(8), "open", p))
+        s = snf.smith_normal_form(M)
+        assert calls == []
+        assert [f.degree for f in s.invariant_factors] == [0] * 7 + [8]
+
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
         self.assert_matches_reference(snf.char_matrix(A))
@@ -338,6 +352,65 @@ class TestPackedGF2:
                 _divmod2(a, 0)
             with pytest.raises(ZeroDivisionError):
                 divmod(from_bits(a), Poly.zero(2))
+
+
+class TestKrylovRoute:
+    """invariant_factors (Krylov relations) against the Smith form of xI - A."""
+
+    def assert_matches_char_matrix(self, A):
+        before = A.to_lists()
+        ones, R = snf.krylov_relations(A)
+        assert A.to_lists() == before
+        k = len(R)
+        assert ones == A.rows - k and all(len(row) == k for row in R)
+        assert all(R[i][j].is_zero for i in range(k) for j in range(i + 1, k))
+        assert all(R[i][i].lead == 1 and R[i][i].degree >= 1 for i in range(k))
+        assert sum(R[i][i].degree for i in range(k)) == A.rows
+        for i in range(k):
+            assert all(R[i][j].degree is None or R[i][j].degree < R[j][j].degree for j in range(i))
+        expected = str(snf.smith_normal_form(snf.char_matrix(A)))
+        assert str(snf.invariant_factors(A)) == expected
+        assert A.to_lists() == before
+        return k
+
+    def test_random_matrices(self):
+        rng = random.Random(109)
+        for p in (2, 3, 5):
+            for n in range(13):
+                for rows in (
+                    random_symmetric01(n, rng),
+                    random_matrix01(n, n, rng),
+                    random_modp_matrix(n, n, p, rng),
+                ):
+                    A = PrimeFieldMatrix(rows, p)
+                    self.assert_matches_char_matrix(A)
+                    self.assert_matches_char_matrix(A + PrimeFieldMatrix.identity(n, p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_graph_families(self, p):
+        graphs = [build_family("grid:5x5"), petersen_graph()]
+        for n in (1, 2, 5, 9):
+            graphs += [path_graph(n), star_graph(n), complete_graph(n)]
+        graphs += [cycle_graph(n) for n in (3, 4, 7, 12)]
+        for g in graphs:
+            for mode in ("open", "closed"):
+                self.assert_matches_char_matrix(switching_matrix(g, mode, p))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_grid_12x12_has_a_block_per_row(self, p):
+        A = switching_matrix(build_family("grid:12x12"), "open", p)
+        assert self.assert_matches_char_matrix(A) == 12
+
+    def test_zero_identity_and_empty_matrices_have_n_blocks(self):
+        for p in (2, 3, 5):
+            for n in (0, 1, 4, 7):
+                assert self.assert_matches_char_matrix(PrimeFieldMatrix.zeros(n, n, p)) == n
+                assert self.assert_matches_char_matrix(PrimeFieldMatrix.identity(n, p)) == n
+
+    def test_non_square_rejected(self):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="square"):
+                snf.invariant_factors(PrimeFieldMatrix.zeros(2, 3, p))
 
 
 class TestCharpolyRoutes:
