@@ -51,10 +51,6 @@ class Graph:
         )
         return cls(n, normalized)
 
-    def adjacency_rows(self) -> list[list[int]]:
-        """The 0/1 adjacency matrix as n lists of n ints (the open switching matrix)."""
-        return switching_matrix(self).to_lists()
-
 
 def path_graph(n: int) -> Graph:
     if n < 1:

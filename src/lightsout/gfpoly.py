@@ -278,7 +278,7 @@ def _divmod2(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of packed GF(2) polynomials."""
     if not b:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if b == 1:  # most pivots of xI - A are units
+    if b == 1:  # unit divisors return at once, so the Smith loop needs no unit step
         return a, 0
     db = b.bit_length()
     q = 0

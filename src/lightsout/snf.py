@@ -12,9 +12,10 @@ entries carry the signs of the reduction; the factors come out monic.
 ``smith_normal_form`` takes any square list of Poly rows and returns Poly
 invariant factors.  It diagonalizes by Euclidean division, then turns the
 diagonal into the ordered invariant factors s_1 | s_2 | ... | s_m, each
-monic, by gcd/lcm exchanges; a unit pivot takes a one-sweep step with no
-division.  Over GF(2) the loop runs on ``gfpoly``'s packed polynomials, and
-Poly objects are built only for the non-unit results.  ``char_matrix``
+monic, by gcd/lcm exchanges.  It is one loop at every p, run on a table
+of field operations: on ``gfpoly``'s packed polynomials over GF(2), so Poly
+objects are built only for the non-unit results, and on Poly at odd p.
+``char_matrix``
 returns the rows of xI - A, the tests' reference route.  Two independent
 routes to the characteristic polynomial are provided: the product of the
 invariant factors, and a division-free (Berkowitz) expansion over the
@@ -99,13 +100,23 @@ def _poly_size(f: Poly) -> int:
     return len(f.coeffs)
 
 
-#: (size, divmod, sub, mul, gcd) of the Smith form loop; size is the number
-#: of coefficients, degree + 1, and 0 for the zero polynomial.
-_POLY_OPS = (_poly_size, divmod, operator.sub, operator.mul, poly_gcd)
-_GF2_OPS = (int.bit_length, _divmod2, operator.xor, _mul2, _gcd2)
+def _pack2(f: Poly) -> int:
+    return _pack_bits(f.coeffs)
 
 
-def _field(rows: list[list[Poly]]) -> int | None:
+def _unpack2(f: int) -> Poly:
+    return _GF2_ONE if f == 1 else Poly(_unpack_bits(f, f.bit_length()), 2)
+
+
+#: (size, divmod, sub, mul, gcd, pack, unpack) of the Smith form loop; size is
+#: the number of coefficients, degree + 1, and 0 for the zero polynomial.  pack
+#: takes a Poly entry into the loop and unpack takes a result out of it, monic;
+#: every nonzero GF(2) polynomial is monic already, and its units share one Poly.
+_POLY_OPS = (_poly_size, divmod, operator.sub, operator.mul, poly_gcd, lambda f: f, Poly.monic)
+_GF2_OPS = (int.bit_length, _divmod2, operator.xor, _mul2, _gcd2, _pack2, _unpack2)
+
+
+def _field(rows: Sequence[Sequence[Poly]]) -> int | None:
     """The field shared by every entry, or None for no entries.
 
     Raises TypeError for an entry that is not a Poly and ValueError for
@@ -129,36 +140,24 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     Phase 1 diagonalizes: move a minimum-degree entry of the trailing
     submatrix to the pivot and clear its row and column by Euclidean
     division; a nonzero remainder has lower degree than the pivot and
-    becomes the next pivot, so this terminates.  Phase 2 fixes the
+    becomes the next pivot, so this terminates.  A unit pivot divides
+    everything with remainder 0, so one pass clears it.  Phase 2 fixes the
     divisibility chain on the diagonal alone, since diag(a, b) is
     equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
     monic at the end.
 
-    A unit pivot c (degree 0) divides everything with remainder 0, so
-    phase 1 takes a shorter step for it: subtract row[k]·c⁻¹ times the
-    pivot row from each row, zero the pivot row and column, and move on.
-    That is the matrix the general step gives, without its divisions or
-    second sweep.  Over GF(2) every unit is 1; at odd p the off-diagonal
-    entries of xI - A are -1, which take this step too.
-
-    Over GF(2) the entries are packed into ints on entry and the loop runs
-    on the int operations; the result is Poly either way, and unit
-    invariant factors share one Poly.
+    The loop runs on the field's op table: over GF(2) the entries are
+    packed into ints on entry and unpacked at the end.
 
     Raises ValueError for non-square input, entries over different fields,
-    or a singular matrix (a diagonal entry would be zero); xI - A is never
-    singular.  Raises TypeError for an entry that is not a Poly.
+    or a singular matrix (a diagonal entry would be zero); R and xI - A are
+    never singular.  Raises TypeError for an entry that is not a Poly.
     """
-    a = [list(row) for row in M]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("Smith normal form is implemented for square matrices")
-    p = _field(a)
-    packed = p == 2
-    if packed:
-        a = [[_pack_bits(f.coeffs) for f in row] for row in a]
-    size, divmod_, sub, mul, gcd = _GF2_OPS if packed else _POLY_OPS
-    one, zero = (Poly.one(p), Poly.zero(p)) if p and not packed else (1, 0)
+    size, divmod_, sub, mul, gcd, pack, unpack = _GF2_OPS if _field(M) == 2 else _POLY_OPS
+    a = [list(map(pack, row)) for row in M]
     for k in range(n):  # phase 1: diagonalize
         while True:
             best = None
@@ -179,20 +178,6 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
                 row[k], row[bj] = row[bj], row[k]
             krow = a[k]
             pivot = krow[k]
-            if size(pivot) == 1:  # every quotient is exact: one sweep clears both
-                inv = None if pivot == one else Poly((pow(pivot.lead, -1, p),), p)
-                tail = [j for j in range(k + 1, n) if krow[j]]
-                for row in a[k + 1 :]:
-                    q = row[k]
-                    if q:
-                        if inv is not None:
-                            q = mul(q, inv)
-                        for j in tail:
-                            row[j] = sub(row[j], mul(q, krow[j]))
-                        row[k] = zero
-                for j in tail:
-                    krow[j] = zero
-                break
             for row in a[k + 1 :]:
                 if row[k]:
                     q, row[k] = divmod_(row[k], pivot)
@@ -214,15 +199,9 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
                 break
             g = gcd(d[i], d[j])
             d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
-    # units share one Poly; every nonzero GF(2) polynomial is monic already.
     # From a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
-    if packed:
-        return SnfResult(tuple([
-            _GF2_ONE if f == 1 else Poly(_unpack_bits(f, f.bit_length()), 2)
-            for f in d
-        ]))
-    return SnfResult(tuple([one if size(f) == 1 else f.monic() for f in d]))
+    return SnfResult(tuple([unpack(f) for f in d]))
 
 
 def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:

@@ -238,7 +238,7 @@ def from_bits(v: int) -> Poly:
 
 
 class TestPackedGF2:
-    """The GF(2) route on packed ints against the Poly-only reference loop."""
+    """The op-table loop (packed ints at p = 2) against the Poly-only reference loop."""
 
     def assert_matches_reference(self, M):
         rows = [list(row) for row in M]
@@ -281,10 +281,11 @@ class TestPackedGF2:
                     self.assert_matches_reference(snf.char_matrix(PrimeFieldMatrix(rows, p)))
 
     def test_odd_p_unit_entries_match_reference(self):
-        # a third of the entries are 1 or another unit, the rest degree <= 2
+        # a third of the entries are 1 or another unit, the rest degree <= 2;
+        # at p = 7 some units' inverses are neither 1 nor -1
         rng = random.Random(107)
         nonsingular = 0
-        for p in (3, 5):
+        for p in (3, 5, 7):
             for n in range(1, 7):
                 for _ in range(12):
                     M = [
@@ -308,7 +309,7 @@ class TestPackedGF2:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_odd_p_unit_pivots_take_the_step_without_division(self, p, monkeypatch):
-        # the off-diagonal pivots of xI - A at odd p are -1, not 1
+        # path:8 is nonderogatory: R is 1 x 1, so its Smith form divides nothing
         calls = []
         divmod_ = Poly.__divmod__
         monkeypatch.setattr(Poly, "__divmod__", lambda f, g: calls.append(g) or divmod_(f, g))
@@ -316,16 +317,19 @@ class TestPackedGF2:
         assert calls == []
         assert [f.degree for f in s.invariant_factors] == [0] * 7 + [8]
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_odd_p_char_matrix_unit_pivots_take_the_step_without_division(self, p, monkeypatch):
-        # invariant_factors no longer builds xI - A, so reach the step directly
-        calls = []
-        divmod_ = Poly.__divmod__
-        monkeypatch.setattr(Poly, "__divmod__", lambda f, g: calls.append(g) or divmod_(f, g))
-        M = snf.char_matrix(switching_matrix(path_graph(8), "open", p))
-        s = snf.smith_normal_form(M)
-        assert calls == []
-        assert [f.degree for f in s.invariant_factors] == [0] * 7 + [8]
+    def test_krylov_relation_matrices_match_reference(self):
+        # R of a random graph sometimes holds a nonzero constant below the
+        # diagonal, which the Smith form takes as a unit pivot
+        rng = random.Random(113)
+        for p in (2, 3, 5, 7):
+            unit_below = 0
+            for _ in range(75):
+                g = random_graph(rng.randint(1, 8), rng)
+                for mode in ("open", "closed"):
+                    _, R = snf.krylov_relations(switching_matrix(g, mode, p))
+                    self.assert_matches_reference(R)
+                    unit_below += any(f.degree == 0 for i, row in enumerate(R) for f in row[:i])
+            assert unit_below >= 3, p
 
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
@@ -420,7 +424,7 @@ class TestCharpolyRoutes:
 
     def test_path3_hand_cofactor(self):
         # det(xI - A) = x^3 - 2x over the integers, so x^3 mod 2, x^3 + x mod 3.
-        A = path_graph(3).adjacency_rows()
+        A = switching_matrix(path_graph(3))
         assert snf.charpoly_oracle(A, 2) == P("x^3")
         assert snf.charpoly_oracle(A, 3) == Poly((0, 1, 0, 1), 3)
 
