@@ -10,10 +10,11 @@ one note counting the rows with a cell skipped over the oracle cap, and
 exits 1 exactly when the violations are non-empty.  Usage errors
 (unknown flags, flags the verb does not read, malformed graph specs,
 unreadable or non-UTF-8 files, a non-prime --p, a negative --max-oracle, an
-unwritable --csv path) exit 2.  Any other exception is an internal fault
-and exits 3.  An operator larger than --max-oracle is never built: its row
-is marked ``skipped`` in every verb.  charpoly counts an n-vertex graph as
-n * n, so the default cap runs its O(n^4) oracle up to n = 64.
+unwritable --csv path, a factor graph over the formula route's vertex cap)
+exit 2.  Any other exception is an internal fault and exits 3.  An operator
+larger than --max-oracle is never built: its row is marked ``skipped`` in
+every verb.  charpoly counts an n-vertex graph as n * n, so the default cap
+runs its O(n^4) oracle up to n = 64.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
 n x n pairs computes n invariant-factor lists in open mode and 2n in closed,
@@ -42,10 +43,22 @@ from lightsout.gfpoly import Poly, check_prime, shift_one
 
 SCHEMA_VERSION = 1
 
+#: Largest factor graph, in vertices, that ``_factor`` summarizes.  The
+#: Krylov pass makes O(n^2) row operations on n-entry rows: at p = 2 a
+#: 4096-vertex grid (grid:64x64) takes about 2 s and a 10000-vertex one over
+#: 40 s.  Odd p reduces residue lists, about 100x slower per row, so its cap
+#: is lower: grid:32x32 takes about 20 s at p = 3.
+FORMULA_VERTEX_CAP = 4096
+FORMULA_VERTEX_CAP_ODD_P = 1024
+
 RANDOM_PAIR_COUNT = 500
 RANDOM_MAX_VERTICES = 8
 LEMMA_TRIALS = 10_000
 LEMMA_MAX_TOTAL = 12
+
+
+class OverCapError(ValueError):
+    """A factor graph over the formula route's vertex cap: a usage error."""
 
 
 @dataclass
@@ -138,9 +151,17 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
 
     memo is keyed by (Graph, mode, p) and lives for one handler call, so
     each distinct factor of a sweep is summarized once per invocation.
+    Raises OverCapError for a graph over FORMULA_VERTEX_CAP vertices
+    (FORMULA_VERTEX_CAP_ODD_P at odd p) before any work on it.
     """
     key = (g, mode, p)
     if key not in memo:
+        cap = FORMULA_VERTEX_CAP if p == 2 else FORMULA_VERTEX_CAP_ODD_P
+        if g.vertex_count > cap:
+            raise OverCapError(
+                f"factor graph has {g.vertex_count} vertices, "
+                f"over the formula cap of {cap} at p = {p}"
+            )
         M = game.switching_matrix(g, mode, p)
         s = snf.invariant_factors(M)
         memo[key] = (M, s, snf.charpoly_from_snf(s, p))
@@ -615,7 +636,8 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
     bound violation, or a ``verify lemma`` trial where the min-sum inequality
     fails); 2 usage error (bad flags, a malformed graph spec or graph file, a
     reversed sweep range or a cycles range below 3, a --p that is not prime,
-    a negative --max-oracle, an unwritable --csv path); 3 internal fault (any
+    a negative --max-oracle, an unwritable --csv path, a factor graph over
+    the formula route's vertex cap); 3 internal fault (any
     other exception, reported on stderr as ``error: internal ...`` and its
     traceback).  The report is None when no
     handler ran to the end.
@@ -634,7 +656,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
             return 2, None
     try:
         report = _HANDLERS[args.verb](args)
-    except GraphParseError as exc:
+    except (GraphParseError, OverCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     except Exception as exc:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, poly_gcd
+from lightsout.gfpoly import Poly, _gcd2, _pack_bits, poly_gcd
 # charpoly_oracle is unused here, but the benchmark tracer and
 # test_example2_never_calls_the_charpoly_oracle bind formulas.charpoly_oracle.
 from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
@@ -55,19 +55,21 @@ def nullity_from_factor_data(fa: FactorData, fb: FactorData) -> int:
 
 
 def nullity_snf_product(sa: SnfResult, sb: SnfResult) -> int:
-    """Double sum of deg gcd(s_i, t_j) over the two invariant factor lists."""
+    """Double sum of deg gcd(s_i, t_j) over the two invariant factor lists.
+
+    Only the factors of degree >= 1 contribute.  Over GF(2) each of them is
+    packed into an int once and every gcd is taken on the packed ints,
+    whose degree is the bit length - 1; no gcd Poly is built.
+    """
     pa, pb = sa.field, sb.field
     if pa is not None and pb is not None and pa != pb:
         raise ValueError(f"field mismatch: GF({pa}) vs GF({pb})")
-    total = 0
-    for si in sa.invariant_factors:
-        if not si.degree:
-            continue
-        for tj in sb.invariant_factors:
-            if not tj.degree:
-                continue
-            total += poly_gcd(si, tj).degree or 0
-    return total
+    a, b = sa.nontrivial(), sb.nontrivial()
+    if pa == 2:
+        a = [_pack_bits(f.coeffs) for f in a]
+        b = [_pack_bits(f.coeffs) for f in b]
+        return sum(_gcd2(si, tj).bit_length() - 1 for si in a for tj in b)
+    return sum(poly_gcd(si, tj).degree for si in a for tj in b)
 
 
 def nullity_snf_self(sa: SnfResult) -> int:
@@ -122,6 +124,8 @@ def gcd_lower_bound(ca: Poly, cb: Poly, mode: str = "open") -> int:
         raise ValueError(f"field mismatch: GF({ca.p}) vs GF({cb.p})")
     if mode == "closed":
         ca = ca.compose(Poly((-1, 1), ca.p))
+    if ca.p == 2:  # on packed ints; gcd(0, 0) = 0 has bit length 0
+        return max(_gcd2(_pack_bits(ca.coeffs), _pack_bits(cb.coeffs)).bit_length() - 1, 0)
     return poly_gcd(ca, cb).degree or 0
 
 

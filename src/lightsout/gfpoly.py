@@ -9,8 +9,11 @@ powers and explicit coefficients where they differ from 1, e.g. ``x^3 + x + 1``
 or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
 
 Over GF(2) a polynomial or a ``gfmat`` row also packs into an int, bit i
-holding entry i; ``poly_gcd``, ``prod`` and ``snf`` run on its
-shift-and-XOR ops and build a Poly only for the value they return.
+holding entry i.  ``poly_gcd``, ``prod``, ``snf`` and the gcd degrees in
+``formulas`` run on its shift-and-XOR ops: ``snf`` keeps a relation
+matrix packed from the Krylov pass to the Smith form, ``poly_gcd`` and
+``prod`` build a Poly only for the value they return, and ``formulas``
+reads a gcd's degree off its bit length without building a Poly.
 
 Arithmetic operands are ``Poly`` over the same field: any other type raises
 TypeError and a different p raises ValueError.  :func:`factor` takes degree
@@ -328,7 +331,8 @@ def shift_one(f: Poly) -> Poly:
 def prod(factors: Iterable[Poly], p: int) -> Poly:
     """Product of polynomials over GF(p) (empty product is 1).
 
-    Over GF(2) the product runs on packed ints and builds one Poly.
+    Over GF(2) the product runs on packed ints, skips the unit factors
+    (most of an invariant factor list) and builds one Poly.
     """
     if p != 2:
         return reduce(lambda a, b: a * b, factors, Poly.one(p))
@@ -338,7 +342,8 @@ def prod(factors: Iterable[Poly], p: int) -> Poly:
             raise TypeError(f"cannot multiply Poly by {type(f).__name__}")
         if f.p != 2:  # packing would silently read a GF(3) coefficient 2 as 0
             raise ValueError(f"field mismatch: GF(2) vs GF({f.p})")
-        acc = _mul2(acc, _pack_bits(f.coeffs))
+        if f.coeffs != (1,):
+            acc = _mul2(acc, _pack_bits(f.coeffs))
     return Poly(_unpack_bits(acc, acc.bit_length()), 2)
 
 

@@ -6,21 +6,23 @@ v -> vA, picks k cyclic generators among e_1, e_2, ... and returns their
 k x k relation matrix R (Keller-Gehrig, TCS 36, 1985; Storjohann, ISSAC
 1998), in O(n^2) row operations on packed ints at p = 2 and residue lists
 at odd p.  The invariant factors of xI - A are n - k ones followed by those
-of R: k is mostly 1-4 for random graphs and m on an m x m grid.  At odd p R's
-entries carry the signs of the reduction; the factors come out monic.
+of R: k is mostly 1-4 for random graphs and m on an m x m grid.  At p = 2
+R's entries are ``gfpoly``'s packed polynomials, sliced out of the packed
+tags; at odd p they are Poly and carry the signs of the reduction, and the
+factors come out monic.
 
-``smith_normal_form`` takes any square list of Poly rows and returns Poly
-invariant factors.  It diagonalizes by Euclidean division, then turns the
-diagonal into the ordered invariant factors s_1 | s_2 | ... | s_m, each
-monic, by gcd/lcm exchanges.  It is one loop at every p, run on a table
-of field operations: on ``gfpoly``'s packed polynomials over GF(2), so Poly
-objects are built only for the non-unit results, and on Poly at odd p.
-``char_matrix``
-returns the rows of xI - A, the tests' reference route.  Two independent
-routes to the characteristic polynomial are provided: the product of the
-invariant factors, and a division-free (Berkowitz) expansion over the
-integers reduced mod p.  They must agree; the test suite leans on that
-cross-check heavily.
+``smith_normal_form`` takes any square list of Poly rows, or with
+``packed`` rows of packed GF(2) polynomials, and returns Poly invariant
+factors.  It diagonalizes by Euclidean division, then turns the diagonal
+into the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by
+gcd/lcm exchanges.  It is one loop at every p, run on a table of field
+operations: on packed polynomials over GF(2) and on Poly at odd p.  So at
+p = 2 ``invariant_factors`` builds a Poly only for each non-unit factor;
+the units share one.  ``char_matrix`` returns the rows of xI - A, the
+tests' reference route.  Two independent routes to the characteristic
+polynomial are provided: the product of the invariant factors, and a
+division-free (Berkowitz) expansion over the integers reduced mod p.  They
+must agree; the test suite leans on that cross-check heavily.
 """
 
 from __future__ import annotations
@@ -72,9 +74,8 @@ class FactorData:
         )
 
 
-#: The GF(2) zero and unit, shared by every relation matrix and result (Poly
-#: is immutable).
-_GF2_ZERO, _GF2_ONE = Poly((), 2), Poly((1,), 2)
+#: The GF(2) unit, shared by every unit invariant factor (Poly is immutable).
+_GF2_ONE = Poly((1,), 2)
 
 
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
@@ -134,7 +135,7 @@ def _field(rows: Sequence[Sequence[Poly]]) -> int | None:
     return p
 
 
-def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
+def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -> SnfResult:
     """Invariant factors of a square polynomial matrix, given as rows.
 
     Phase 1 diagonalizes: move a minimum-degree entry of the trailing
@@ -147,17 +148,25 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     monic at the end.
 
     The loop runs on the field's op table: over GF(2) the entries are
-    packed into ints on entry and unpacked at the end.
+    packed into ints on entry and unpacked at the end.  With ``packed`` the
+    entries are GF(2) polynomials packed into ints already, bit i the
+    coefficient of x^i (R as ``krylov_relations`` returns it at p = 2), and
+    the loop takes them as they are.  The results are Poly either way.
 
     Raises ValueError for non-square input, entries over different fields,
     or a singular matrix (a diagonal entry would be zero); R and xI - A are
-    never singular.  Raises TypeError for an entry that is not a Poly.
+    never singular.  Raises TypeError for an entry that is not a Poly
+    (an int, unless ``packed``).
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("Smith normal form is implemented for square matrices")
-    size, divmod_, sub, mul, gcd, pack, unpack = _GF2_OPS if _field(M) == 2 else _POLY_OPS
-    a = [list(map(pack, row)) for row in M]
+    if packed:
+        size, divmod_, sub, mul, gcd, _, unpack = _GF2_OPS
+        a = [list(row) for row in M]
+    else:
+        size, divmod_, sub, mul, gcd, pack, unpack = _GF2_OPS if _field(M) == 2 else _POLY_OPS
+        a = [list(map(pack, row)) for row in M]
     for k in range(n):  # phase 1: diagonalize
         while True:
             best = None
@@ -204,7 +213,7 @@ def smith_normal_form(M: Sequence[Sequence[Poly]]) -> SnfResult:
     return SnfResult(tuple([unpack(f) for f in d]))
 
 
-def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:
+def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
     """(n - k, R) for GF(p)^n as a GF(p)[x]-module, x acting by v -> vA.
 
     Takes e_1, e_2, ... in turn, skipping each one already spanned, and
@@ -213,7 +222,9 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:
     reduced vector followed by a tag, the Krylov combination it equals, so
     a zero reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
     R is lower triangular, R_ii is monic of degree d_i, R_ij has degree
-    < d_j, and the d_i sum to n.  Raises ValueError for a non-square matrix.
+    < d_j, and the d_i sum to n.  At p = 2 R's entries are packed ints, bit
+    i the coefficient of x^i, sliced straight out of the packed tags; at odd
+    p they are Poly.  Raises ValueError for a non-square matrix.
     """
     if not A.is_square:
         raise ValueError("Krylov relations require a square matrix")
@@ -228,14 +239,14 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:
                 u ^= low
             return w
 
-        def reduce(u, m):  # the relation's tag, or None after adding a basis row
+        def reduce(u, m):  # the relation's packed tag, or None after adding a basis row
             w = u | 1 << (n + m)
             while (c := (w & -w).bit_length() - 1) < n:
                 if pivots[c] is None:
                     pivots[c] = w
                     return None
                 w ^= pivots[c]
-            return _unpack_bits(w >> n, m + 1)
+            return w >> n
     else:
         def times_a(u):
             w = [0] * n
@@ -265,11 +276,14 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list[Poly]]]:
         if m > start:
             starts.append(start)
             tags.append(tag)
-    zero = _GF2_ZERO if p == 2 else Poly.zero(p)
+    zero = 0 if p == 2 else Poly.zero(p)
     R = [[zero] * len(tags) for _ in tags]
-    for i, tag in enumerate(tags):  # R_ii also takes the tag's last entry, its x^d_i coefficient 1
+    for i, tag in enumerate(tags):
         for j, (lo, hi) in enumerate(zip(starts[: i + 1], starts[1:] + [n])):
-            if any(coeffs := tag[lo : hi + (i == j)]):
+            hi += i == j  # R_ii also takes the tag's last entry, its x^d_i coefficient 1
+            if p == 2:
+                R[i][j] = (tag >> lo) & ((1 << (hi - lo)) - 1)
+            elif any(coeffs := tag[lo:hi]):
                 R[i][j] = Poly(coeffs, p)
     return n - len(R), R
 
@@ -282,7 +296,7 @@ def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
     """
     ones, R = krylov_relations(A)
     unit = _GF2_ONE if A.p == 2 else Poly.one(A.p)
-    return SnfResult((unit,) * ones + smith_normal_form(R).invariant_factors)
+    return SnfResult((unit,) * ones + smith_normal_form(R, packed=A.p == 2).invariant_factors)
 
 
 def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:

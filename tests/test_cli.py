@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -120,6 +121,43 @@ class TestExitCodes:
         path.write_bytes(b"\xff\xfe3\x00\n\x00")
         assert cli.run(["nullity", "--g", f"file:{path}", "--h", "path:2"]) == (2, None)
         assert "cannot read graph file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, n, cap",
+        [
+            (["nullity", "--g", "grid:65x65", "--h", "path:2", "--max-oracle", "0"], 4225, 4096),
+            (["bound", "--g", "path:2", "--h", "grid:65x65"], 4225, 4096),
+            (["snf", "--g", "grid:150x150"], 22500, 4096),
+            (["charpoly", "--g", "grid:65x65"], 4225, 4096),
+            (["snf", "--g", "grid:33x32", "--p", "3"], 1056, 1024),
+            (["nullity", "--g", "path:2", "--h", "grid:33x32", "--p", "5"], 1056, 1024),
+        ],
+    )
+    def test_factor_over_the_formula_cap_is_refused_at_once(
+        self, argv, n, cap, capsys, monkeypatch
+    ):
+        sizes = []
+        krylov = snf.krylov_relations
+        monkeypatch.setattr(snf, "krylov_relations", lambda A: sizes.append(A.rows) or krylov(A))
+        start = time.perf_counter()
+        assert cli.run(argv) == (2, None)
+        assert time.perf_counter() - start < 1
+        assert max(sizes, default=0) <= cap
+        out, err = capsys.readouterr()
+        assert out == ""
+        p = argv[argv.index("--p") + 1] if "--p" in argv else "2"
+        assert err == (
+            f"error: factor graph has {n} vertices, over the formula cap of {cap} at p = {p}\n"
+        )
+
+    def test_formula_cap_admits_a_factor_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "FORMULA_VERTEX_CAP", 9)
+        monkeypatch.setattr(cli, "FORMULA_VERTEX_CAP_ODD_P", 8)
+        assert cli.run(["nullity", "--g", "path:9", "--h", "path:2"])[0] == 0
+        assert cli.run(["nullity", "--g", "petersen", "--h", "path:2"]) == (2, None)
+        assert cli.run(["snf", "--g", "path:8", "--p", "3"])[0] == 0
+        assert cli.run(["snf", "--g", "path:9", "--p", "3"]) == (2, None)
+        capsys.readouterr()
 
     def test_cycles_range_below_three_is_usage_error(self, capsys):
         assert cli.run(["sweep", "cycles:1-2"]) == (2, None)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_matrix01
+from helpers import euclid_gcd, random_matrix01
 from lightsout import formulas, game, gfmat, snf
 from lightsout.formulas import (
     gcd_lower_bound,
@@ -101,6 +101,33 @@ class TestSnfProductNullity:
         s3 = SnfResult((Poly.parse("x", 3),))
         with pytest.raises(ValueError):
             nullity_snf_product(s2, s3)
+
+    def test_gf2_packed_gcd_degrees_match_euclid(self):
+        # over GF(2) the gcds run on packed ints; the reference takes each one
+        # on Poly by a Euclid loop.  Lists of arbitrary polynomials (units and
+        # zeros included, which add nothing) as well as invariant factors
+        rng = random.Random(137)
+
+        def reference(sa, sb):
+            return sum(
+                euclid_gcd(si, tj).degree
+                for si in sa.invariant_factors if si.degree
+                for tj in sb.invariant_factors if tj.degree
+            )
+
+        def random_list():
+            return SnfResult(tuple(
+                Poly([rng.getrandbits(1) for _ in range(rng.randint(0, 13))], 2)
+                for _ in range(rng.randint(0, 6))
+            ))
+
+        for _ in range(60):
+            sa, sb = random_list(), random_list()
+            assert nullity_snf_product(sa, sb) == reference(sa, sb)
+            g = game.random_graph(rng.randint(1, 9), rng)
+            h = game.random_graph(rng.randint(1, 9), rng)
+            sa, sb = invariant_factors(adjacency(g)), invariant_factors(adjacency(h))
+            assert nullity_snf_product(sa, sb) == reference(sa, sb)
 
     def test_agrees_with_factor_data_route(self):
         rng = random.Random(89)
@@ -213,6 +240,18 @@ class TestGcdLowerBound:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             gcd_lower_bound(P("x"), P("x"), "diagonal")
+
+    def test_gf2_packed_gcd_degree_matches_euclid(self):
+        # zero operands included: gcd(0, 0) = 0 counts as degree 0
+        rng = random.Random(139)
+        polys = [Poly.zero(2), Poly.one(2)] + [
+            Poly([rng.getrandbits(1) for _ in range(rng.randint(0, 16))], 2) for _ in range(40)
+        ]
+        for ca in polys:
+            for cb in rng.sample(polys, 8) + [Poly.zero(2)]:
+                assert gcd_lower_bound(ca, cb, "open") == (euclid_gcd(ca, cb).degree or 0)
+                shifted = ca.compose(P("x + 1"))  # x - 1 = x + 1 over GF(2)
+                assert gcd_lower_bound(ca, cb, "closed") == (euclid_gcd(shifted, cb).degree or 0)
 
 
 class TestOracle:

@@ -327,9 +327,63 @@ class TestPackedGF2:
                 g = random_graph(rng.randint(1, 8), rng)
                 for mode in ("open", "closed"):
                     _, R = snf.krylov_relations(switching_matrix(g, mode, p))
+                    if p == 2:  # R's entries are packed ints
+                        R = [[from_bits(f) for f in row] for row in R]
                     self.assert_matches_reference(R)
                     unit_below += any(f.degree == 0 for i, row in enumerate(R) for f in row[:i])
             assert unit_below >= 3, p
+
+    def test_packed_entry_point_matches_reference(self):
+        # random packed matrices with entries of degree <= 3, a third of them
+        # made singular by a repeated row, and the relation matrices of random
+        # graphs
+        rng = random.Random(127)
+        singular = nonsingular = 0
+        for n in range(7):
+            for t in range(21):
+                M = [[rng.getrandbits(4) for _ in range(n)] for _ in range(n)]
+                if n > 1 and t % 3 == 0:
+                    M[-1] = list(M[0])
+                rows = [list(row) for row in M]
+                polys = [list(map(from_bits, row)) for row in M]
+                try:
+                    expected = str(smith_normal_form_on_polys(polys))
+                except ValueError:
+                    with pytest.raises(ValueError, match="zero determinant"):
+                        snf.smith_normal_form(M, packed=True)
+                    singular += 1
+                    continue
+                assert str(snf.smith_normal_form(M, packed=True)) == expected
+                assert M == rows
+                nonsingular += 1
+        assert singular > 20 and nonsingular > 60
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 8), rng)
+            for mode in ("open", "closed"):
+                _, R = snf.krylov_relations(switching_matrix(g, mode))
+                assert all(type(f) is int for row in R for f in row)
+                expected = smith_normal_form_on_polys([[from_bits(f) for f in row] for row in R])
+                assert snf.smith_normal_form(R, packed=True) == expected
+
+    def test_gf2_invariant_factors_build_one_poly_per_non_unit_factor(self, monkeypatch):
+        # R's entries stay packed ints and the unit factors share one Poly, so
+        # the only Poly built is each non-unit result
+        rng = random.Random(131)
+        graphs = [path_graph(8), petersen_graph(), build_family("grid:6x6")]
+        graphs += [random_graph(rng.randint(1, 12), rng) for _ in range(20)]
+        built = []
+        init = Poly.__init__
+
+        def counting_init(self, coeffs, p):
+            built.append(p)
+            init(self, coeffs, p)
+
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        for g in graphs:
+            for mode in ("open", "closed"):
+                built.clear()
+                s = snf.invariant_factors(switching_matrix(g, mode))
+                assert built == [2] * len(s.nontrivial()), (g, mode)
 
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
@@ -365,6 +419,8 @@ class TestKrylovRoute:
         before = A.to_lists()
         ones, R = snf.krylov_relations(A)
         assert A.to_lists() == before
+        if A.p == 2:
+            R = [[from_bits(f) for f in row] for row in R]
         k = len(R)
         assert ones == A.rows - k and all(len(row) == k for row in R)
         assert all(R[i][j].is_zero for i in range(k) for j in range(i + 1, k))
