@@ -15,8 +15,21 @@ scanned (and, when reduced, every row above the stripe) in one pass.  A
 row's index ``(row & smask) >> c0`` masks before it shifts, so it copies
 about c1 bits of the row, not the ncols - c0 bits that ``row >> c0`` copies.
 
+Every step stops at a tail bound ``hi``, the textbook banded-elimination
+saving (Golub and Van Loan, *Matrix Computations*, section 4.3).  The
+switching matrix of a grid and the Sylvester operator of a product of paths
+and cycles are banded: row i has no bit left of column i - (block size).
+The floor of row i is the least leading column of rows i.., taken once from
+the bottom up.  Rows from ``hi`` on are still as given and have no bit left
+of the floor at ``hi``.  Before a step that ends at column e, ``hi`` moves
+down past the rows whose floor is below e.  The rows it leaves behind have
+no bit in the step's columns, so column-at-a-time elimination would not
+touch them either: a step scans, fixes and counts rows r..hi (0..hi when
+reduced), not r..m.  On a dense operator ``hi`` reaches m within a few rows
+of the bottom; at most ``TABLE_MIN_ROWS`` rows take no floors at all.
+
 Stripes are taken while a step would touch more than ``TABLE_MIN_ROWS`` =
-64 rows (all rows when reduced, the rows below the pivot row otherwise).
+64 rows (rows 0..hi when reduced, rows r..hi from the pivot row otherwise).
 They have ``STRIPE`` = 8 columns and one table of 2^8 entries; past 3 * 2^8
 = 768 rows, 24 columns and three 8-bit tables, looked up in one pass.  The
 tables cost the same 3 * 2^8 XORs either way: the wide stripe trades two
@@ -65,20 +78,65 @@ def echelon_bits(
     out = list(rows)
     m = len(out)
     pivots: list[int] = []
-    r = 0
-    c = 0
-    # Rows touched per step only fall in forward mode, so once steps are
-    # plain column steps they stay so.
-    while c < ncols and r < m and (touched := m if reduced else m - r) > TABLE_MIN_ROWS:
-        end = min(c + (_FUSED * STRIPE if touched > _FUSED_MIN_ROWS else STRIPE), ncols)
-        r = _stripe(out, r, c, end, reduced, pivots)
+    if m <= TABLE_MIN_ROWS:
+        _columns(out, 0, 0, ncols, m, reduced, pivots)
+        return out, pivots
+    # Rows from hi on are still as given and have no bit left of
+    # floors[hi - base]: a step that ends there never reaches them.
+    hi, floors = _tail_floors(out, ncols)
+    base = hi
+    r = c = 0
+    while c < ncols and r < m:
+        while floors[hi - base] <= c:
+            hi += 1
+        touched = hi if reduced else hi - r
+        if touched > TABLE_MIN_ROWS:
+            end = min(c + (_FUSED * STRIPE if touched > _FUSED_MIN_ROWS else STRIPE), ncols)
+            while floors[hi - base] < end:
+                hi += 1
+            r = _stripe(out, r, c, end, hi, reduced, pivots)
+        else:
+            # Up to the floor at hi, hi stays put and the rows touched per
+            # step do not grow, so these columns take one plain run.
+            end = min(floors[hi - base], ncols)
+            r = _columns(out, r, c, end, hi, reduced, pivots)
         c = end
-    for c in range(c, ncols):
-        if r == m:
+    return out, pivots
+
+
+def _tail_floors(rows: list[int], ncols: int) -> tuple[int, list[int]]:
+    """(base, floors): floors[k] is the least leading column of rows base + k..
+
+    A zero row leads at ncols, and floors[-1] = ncols belongs to the
+    position past the last row.  Floors are taken from the bottom up while
+    they stay past column 0: the first step reaches every row above base,
+    so no later step needs their floors.
+    """
+    floor = ncols
+    floors = [floor]
+    base = len(rows)
+    while base:
+        row = rows[base - 1]
+        if row:
+            floor = min(floor, (row & -row).bit_length() - 1)
+            if floor == 0:
+                break
+        floors.append(floor)
+        base -= 1
+    floors.reverse()
+    return base, floors
+
+
+def _columns(
+    out: list[int], r: int, c0: int, c1: int, hi: int, reduced: bool, pivots: list[int]
+) -> int:
+    """Eliminate columns c0..c1-1 one at a time with pivot rows r..hi-1; returns the next pivot row."""
+    for c in range(c0, c1):
+        if r == hi:
             break
         mask = 1 << c
         pr = -1
-        for i in range(r, m):
+        for i in range(r, hi):
             if out[i] & mask:
                 pr = i
                 break
@@ -88,26 +146,25 @@ def echelon_bits(
             out[r], out[pr] = out[pr], out[r]
         piv = out[r]
         start = 0 if reduced else r + 1
-        for i in range(start, m):
+        for i in range(start, hi):
             if i != r and out[i] & mask:
                 out[i] ^= piv
         pivots.append(c)
         r += 1
-    return out, pivots
+    return r
 
 
 def _stripe(
-    out: list[int], r: int, c0: int, c1: int, reduced: bool, pivots: list[int]
+    out: list[int], r: int, c0: int, c1: int, hi: int, reduced: bool, pivots: list[int]
 ) -> int:
-    """Eliminate columns c0..c1-1 with pivot rows from r on; returns the next pivot row."""
-    m = len(out)
+    """Eliminate columns c0..c1-1 with pivot rows r..hi-1; returns the next pivot row."""
     r0 = r
     masks: list[int] = []
     # Rows r..scanned-1 are reduced by every pivot of this stripe so far;
     # rows from `scanned` on still hold their state at the stripe's start.
     scanned = r
     for c in range(c0, c1):
-        if r == m:
+        if r == hi:
             break
         mask = 1 << c
         pr = -1
@@ -115,7 +172,7 @@ def _stripe(
             if out[i] & mask:
                 pr = i
                 break
-        while pr < 0 and scanned < m:
+        while pr < 0 and scanned < hi:
             row = out[scanned]
             for k, pmask in enumerate(masks):
                 if row & pmask:
@@ -172,7 +229,7 @@ def _stripe(
             return [row ^ t0[s & low] ^ t1[s >> b & low] ^ t2[s >> 2 * b]
                     for row in rows for s in [(row & smask) >> c0]]
 
-    out[scanned:] = fix(out[scanned:])
+    out[scanned:hi] = fix(out[scanned:hi])
     if reduced:
         out[:r0] = fix(out[:r0])
         out[r0:r] = piv_rows

@@ -146,6 +146,17 @@ def _match(oracle, value) -> str:
 FactorSummary = tuple[PrimeFieldMatrix, snf.SnfResult, Poly]
 
 
+def _check_cap(g: Graph, p: int) -> None:
+    """Raise OverCapError for a graph over FORMULA_VERTEX_CAP vertices
+    (FORMULA_VERTEX_CAP_ODD_P at odd p)."""
+    cap = FORMULA_VERTEX_CAP if p == 2 else FORMULA_VERTEX_CAP_ODD_P
+    if g.vertex_count > cap:
+        raise OverCapError(
+            f"factor graph has {g.vertex_count} vertices, "
+            f"over the formula cap of {cap} at p = {p}"
+        )
+
+
 def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
     """The FactorSummary of g in ``mode`` over GF(p), computed once per memo.
 
@@ -156,12 +167,7 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
     """
     key = (g, mode, p)
     if key not in memo:
-        cap = FORMULA_VERTEX_CAP if p == 2 else FORMULA_VERTEX_CAP_ODD_P
-        if g.vertex_count > cap:
-            raise OverCapError(
-                f"factor graph has {g.vertex_count} vertices, "
-                f"over the formula cap of {cap} at p = {p}"
-            )
+        _check_cap(g, p)
         M = game.switching_matrix(g, mode, p)
         s = snf.invariant_factors(M)
         memo[key] = (M, s, snf.charpoly_from_snf(s, p))
@@ -329,8 +335,13 @@ _SWEEP_FAMILIES = {
 }
 
 
-def _sweep_pairs(target: str, seed: int):
-    """Expand a sweep target into (gspec, hspec, G, H, extra) tuples."""
+def _sweep_pairs(target: str, seed: int, p: int):
+    """Expand a sweep target into (gspec, hspec, G, H, extra) tuples.
+
+    A family's graphs are all built, and checked against the formula cap at
+    p, before the first pair: an over-cap family is refused before any row
+    is computed.  Random graphs have at most RANDOM_MAX_VERTICES vertices.
+    """
     kind, _, arg = target.partition(":")
     kind = kind.strip().lower()
     if kind in _SWEEP_FAMILIES:
@@ -338,6 +349,8 @@ def _sweep_pairs(target: str, seed: int):
         lo, hi = _parse_range(arg, default, kind)
         specs = [f"{family}:{v}" for v in range(lo, hi + 1) if kind != "stars" or v % 2]
         graphs = [game.build_family(spec) for spec in specs]
+        for g in graphs:
+            _check_cap(g, p)
         for gspec, g in zip(specs, graphs):
             for hspec, h in zip(specs, graphs):
                 yield gspec, hspec, g, h, {}
@@ -365,7 +378,7 @@ def _sweep(args, mode: str, p: int, target: str) -> Report:
     randomized = target.partition(":")[0] == "random"
     report = Report(command=args.command_echo, seed=args.seed if randomized else None)
     memo: dict = {}
-    for gspec, hspec, g, h, extra in _sweep_pairs(target, args.seed):
+    for gspec, hspec, g, h, extra in _sweep_pairs(target, args.seed, p):
         if randomized:
             extra = {**extra, "seed": args.seed}
         fa, fb = _factor(memo, g, mode, p), _factor(memo, h, "open", p)

@@ -57,19 +57,17 @@ def nullity_from_factor_data(fa: FactorData, fb: FactorData) -> int:
 def nullity_snf_product(sa: SnfResult, sb: SnfResult) -> int:
     """Double sum of deg gcd(s_i, t_j) over the two invariant factor lists.
 
-    Only the factors of degree >= 1 contribute.  Over GF(2) each of them is
-    packed into an int once and every gcd is taken on the packed ints,
-    whose degree is the bit length - 1; no gcd Poly is built.
+    Only the factors of degree >= 1 contribute.  Over GF(2) every gcd is
+    taken on the results' ``packed`` factors, which the Smith form hands
+    over already packed, and its degree is the bit length - 1; nothing is
+    packed per call and no gcd Poly is built.
     """
     pa, pb = sa.field, sb.field
     if pa is not None and pb is not None and pa != pb:
         raise ValueError(f"field mismatch: GF({pa}) vs GF({pb})")
-    a, b = sa.nontrivial(), sb.nontrivial()
     if pa == 2:
-        a = [_pack_bits(f.coeffs) for f in a]
-        b = [_pack_bits(f.coeffs) for f in b]
-        return sum(_gcd2(si, tj).bit_length() - 1 for si in a for tj in b)
-    return sum(poly_gcd(si, tj).degree for si in a for tj in b)
+        return sum(_gcd2(si, tj).bit_length() - 1 for si in sa.packed for tj in sb.packed)
+    return sum(poly_gcd(si, tj).degree for si in sa.nontrivial() for tj in sb.nontrivial())
 
 
 def nullity_snf_self(sa: SnfResult) -> int:

@@ -18,7 +18,7 @@ into the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by
 gcd/lcm exchanges.  It is one loop at every p, run on a table of field
 operations: on packed polynomials over GF(2) and on Poly at odd p.  So at
 p = 2 ``invariant_factors`` builds a Poly only for each non-unit factor;
-the units share one.  ``char_matrix`` returns the rows of xI - A, the
+the units share one, and the result keeps the loop's packed factors.  ``char_matrix`` returns the rows of xI - A, the
 tests' reference route.  Two independent routes to the characteristic
 polynomial are provided: the product of the invariant factors, and a
 division-free (Berkowitz) expansion over the integers reduced mod p.  They
@@ -28,7 +28,7 @@ must agree; the test suite leans on that cross-check heavily.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix
@@ -38,9 +38,22 @@ from lightsout.gfpoly import _divmod2, _gcd2, _mul2, _pack_bits, _unpack_bits
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Ordered invariant factors of a polynomial matrix: s_i divides s_{i+1}."""
+    """Ordered invariant factors of a polynomial matrix: s_i divides s_{i+1}.
+
+    Over GF(2) (or with no factors) ``packed`` holds the factors of degree
+    >= 1 as packed ints, bit i the coefficient of x^i, which every gcd of
+    ``formulas.nullity_snf_product`` reads.  The Smith form hands them over
+    from its loop; otherwise they are packed once, on construction.  At odd
+    p ``packed`` is None.
+    """
 
     invariant_factors: tuple[Poly, ...]
+    packed: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.packed is None and self.field in (None, 2):
+            packed = tuple([_pack_bits(f.coeffs) for f in self.nontrivial()])
+            object.__setattr__(self, "packed", packed)
 
     def __len__(self) -> int:
         return len(self.invariant_factors)
@@ -210,7 +223,10 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
             d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
     # From a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
-    return SnfResult(tuple([unpack(f) for f in d]))
+    factors = tuple([unpack(f) for f in d])
+    if unpack is _unpack2:  # the GF(2) loop's entries are the packed factors
+        return SnfResult(factors, tuple([f for f in d if f > 1]))
+    return SnfResult(factors)
 
 
 def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
@@ -296,7 +312,8 @@ def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
     """
     ones, R = krylov_relations(A)
     unit = _GF2_ONE if A.p == 2 else Poly.one(A.p)
-    return SnfResult((unit,) * ones + smith_normal_form(R, packed=A.p == 2).invariant_factors)
+    s = smith_normal_form(R, packed=A.p == 2)
+    return SnfResult((unit,) * ones + s.invariant_factors, s.packed)
 
 
 def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:

@@ -136,6 +136,85 @@ class TestFusedStripes:
         assert_matches_reference(list(M._data), M.cols)
 
 
+def banded_rows(m, ncols, width, rng):
+    """m rows whose leading columns climb from 0 to ncols - 1, each with up to
+    `width` bits from its leading column on, none past ncols."""
+    full = (1 << ncols) - 1
+    return [((1 | rng.getrandbits(width)) << (i * ncols // m)) & full for i in range(m)]
+
+
+def sylvester_rows(gspec, gmode, hspec):
+    A = game.switching_matrix(game.build_family(gspec), gmode)
+    B = game.switching_matrix(game.build_family(hspec), "open")
+    op = gfmat.sylvester_operator(A, B)
+    return list(op._data), op.cols
+
+
+class TestBandedSteps:
+    """Rows past a step's tail bound are neither scanned nor fixed: they are
+    still as given and have no bit left of the step's end column.  Skipping
+    them leaves the output that of column-at-a-time elimination."""
+
+    @pytest.mark.parametrize(
+        "gspec, gmode, hspec",
+        [
+            ("path:5", "open", "path:20"),
+            ("path:9", "open", "path:9"),
+            ("path:3", "open", "path:40"),
+            ("path:16", "open", "path:16"),
+            ("cycle:9", "closed", "cycle:9"),
+            ("cycle:12", "closed", "cycle:14"),
+            ("cycle:5", "closed", "cycle:30"),
+            ("cycle:28", "closed", "cycle:30"),
+        ],
+    )
+    def test_product_sylvester_operators(self, gspec, gmode, hspec):
+        assert_matches_reference(*sylvester_rows(gspec, gmode, hspec))
+
+    @pytest.mark.parametrize("spec", ["grid:9x9", "grid:12x12", "grid:20x30"])
+    def test_grids_with_rows_out_of_band_order(self, spec):
+        rng = random.Random(spec)
+        for mode in ("open", "closed"):
+            M = game.switching_matrix(game.build_family(spec), mode)
+            rows = list(M._data)
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert_matches_reference(shuffled, M.cols)
+            # Row 0 is the only row with a bit in column 0 in open mode; at
+            # the bottom it puts the floor of every row at 0, so the first
+            # step already reaches the last row.
+            column0 = next(i for i, row in enumerate(rows) if row & 1)
+            moved = rows[:column0] + rows[column0 + 1 :] + [rows[column0]]
+            assert_matches_reference(moved, M.cols)
+
+    @pytest.mark.parametrize("m", [65, 66, 769, 770])
+    def test_zero_rows_inside_and_under_the_band(self, m):
+        rng = random.Random(m)
+        for ncols in (m - 3, m + 5, m // 2 + 5):
+            assert ncols % 8 and ncols % 24
+            for width in (3, 30):
+                rows = banded_rows(m, ncols, width, rng)
+                for i in rng.sample(range(m), m // 10):
+                    rows[i] = 0
+                assert_matches_reference(rows + [0] * 7, ncols)
+
+    def test_rows_no_step_changes_come_back_as_the_same_objects(self):
+        # Block-diagonal: 100 dense rows on columns 0-99, then 100 upper
+        # unitriangular rows on columns 100-199.  The stripes over the dense
+        # block stop short of the second block's rows, and forward
+        # elimination XORs nothing into them, so each must come back as the
+        # very int object given, not a rebuilt copy of it.
+        rng = random.Random(53)
+        dense = [rng.getrandbits(100) for _ in range(100)]
+        triangular = [(rng.getrandbits(100 - i) << 1 | 1) << (100 + i) for i in range(100)]
+        triangular = [row & ((1 << 200) - 1) for row in triangular]
+        rows = dense + triangular
+        got, pivots = _gf2kernel.echelon_bits(rows, 200, reduced=False)
+        assert (got, pivots) == echelon_bits_by_columns(rows, 200, reduced=False)
+        returned = {id(row) for row in got}
+        assert all(id(row) in returned for row in triangular)
+
+
 class TestKernelBinding:
     """gfmat must call ``_gf2kernel.echelon_bits`` through the module: the
     benchmark tracer wraps that binding, and a copied reference would hide

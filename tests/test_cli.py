@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report schema, CSV/JSON agreement, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,19 @@ class TestExitCodes:
         assert cli.run(["snf", "--g", "path:8", "--p", "3"])[0] == 0
         assert cli.run(["snf", "--g", "path:9", "--p", "3"]) == (2, None)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("p, cap", [("2", "FORMULA_VERTEX_CAP"), ("3", "FORMULA_VERTEX_CAP_ODD_P")])
+    def test_over_cap_family_sweep_is_refused_before_the_first_row(
+        self, p, cap, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, cap, 9)
+        calls = []
+        monkeypatch.setattr(snf, "invariant_factors", calls.append)
+        assert cli.run(["sweep", "paths:7-12", "--p", p]) == (2, None)
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: factor graph has 10 vertices, over the formula cap of 9 at p = {p}\n"
 
     def test_cycles_range_below_three_is_usage_error(self, capsys):
         assert cli.run(["sweep", "cycles:1-2"]) == (2, None)
@@ -507,6 +521,24 @@ class TestSweep:
             assert len(calls) == distinct
         capsys.readouterr()
 
+    def test_gf2_rows_pack_no_invariant_factor(self, capsys, monkeypatch):
+        # The Smith form hands each summary its factors packed, so a row packs
+        # only the two characteristic polynomials of its gcd bound; packing
+        # both summaries' factors on every row took 1471 more calls here.
+        packs = {snf: 0, formulas: 0}
+        for module in packs:
+            pack_bits = module._pack_bits
+
+            def counted(values, module=module, pack_bits=pack_bits):
+                packs[module] += 1
+                return pack_bits(values)
+
+            monkeypatch.setattr(module, "_pack_bits", counted)
+        code, report = cli.run(["verify", "conjecture-open", "--seed", "1"])
+        capsys.readouterr()
+        assert code == 0 and len(report.results) == cli.RANDOM_PAIR_COUNT
+        assert packs == {snf: 0, formulas: 2 * cli.RANDOM_PAIR_COUNT}
+
     @pytest.mark.parametrize("mode", ["open", "closed"])
     def test_rows_equal_single_nullity_runs(self, mode, capsys):
         _, _, payload = run_json(["sweep", "paths:2-6", "--mode", mode], capsys)
@@ -616,6 +648,24 @@ class TestOutputs:
         assert code == 0
         assert "invariant_factors" in out
         assert "1, 1, x, x, x^3" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("verify conjecture-open", "4c0d66527077a35904fa3a122ed3cc1c39ebb98b6c1d53f77c0754a54becef62"),
+            ("verify conjecture-closed", "cf3568a264886b711ffe6965f3f441e286bf5d4c9866a0fbb5eb6d5309035cce"),
+            ("sweep paths:2-16", "82e438a25642ec0709cd2efc0bb5db39d1ac638de39457986788c3692ae3519f"),
+            ("sweep cycles:3-14 --mode closed", "c3605b6c218534b82b087564fbb687a94319a1ccb437a32edca8ac926e60ada2"),
+            ("counts --g grid:100x100 --mode closed", "a5e7e729ac940a473d54cacca5bec438f94da650b3a9d7581c9944e0f3e06b04"),
+            ("solve --g grid:64x64 --mode closed", "1f0abcb53c2eceb1795b88449c60ecbbaba1cdba3165bf8ef620a2278232c029"),
+            ("nullity --g grid:8x8 --h grid:8x8", "f0b8e9dffd6b94673caa33a7b5909558a5a2d48043b7f4b80259c7d6451523a3"),
+        ],
+    )
+    def test_json_report_bytes_are_pinned(self, argv, digest, capsys):
+        # sha256 of each --json report as column-at-a-time elimination and
+        # per-row factor packing gave it: speedups must not move a byte.
+        assert cli.run([*argv.split(), "--json"])[0] == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(lightsout.__file__).resolve().parent.parent)

@@ -412,6 +412,29 @@ class TestPackedGF2:
                 divmod(from_bits(a), Poly.zero(2))
 
 
+class TestPackedFactors:
+    def test_a_result_built_from_polys_packs_its_nontrivial_factors(self):
+        s = snf.SnfResult((Poly.one(2), P("x"), P("x^3 + x + 1"), Poly.zero(2)))
+        assert s.packed == (0b10, 0b1011)
+        assert s == snf.SnfResult(s.invariant_factors, ())
+        assert snf.SnfResult(()).packed == ()
+        assert snf.SnfResult((P("x + 2", 3),)).packed is None
+
+    def test_smith_form_hands_over_the_packed_factors_unpacked_again(self, monkeypatch):
+        rng = random.Random(61)
+        packs = []
+        pack_bits = snf._pack_bits
+        monkeypatch.setattr(snf, "_pack_bits", lambda values: packs.append(values) or pack_bits(values))
+        for _ in range(40):
+            A = switching_matrix(random_graph(rng.randint(1, 12), rng))
+            s = snf.invariant_factors(A)
+            assert s.packed == snf.SnfResult(s.invariant_factors).packed
+            packs.clear()
+            assert snf.invariant_factors(A).packed == s.packed
+            assert packs == []
+            assert snf.invariant_factors(PrimeFieldMatrix(A.to_lists(), 3)).packed is None
+
+
 class TestKrylovRoute:
     """invariant_factors (Krylov relations) against the Smith form of xI - A."""
 
