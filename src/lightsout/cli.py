@@ -23,17 +23,22 @@ not 2n^2; each is one Krylov pass and a k x k Smith form (``snf``).
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
 and additionally as CSV with --csv PATH.
+
+Import rule: every run pays this module's imports before any algebra, so
+it loads no standard-library module that a text-output run does not use.
+``json``, ``csv`` and ``traceback`` are imported where they are used: in
+the --json branch of ``_emit``, in ``_write_csv`` and in ``run``'s
+internal-fault branch.  The records are ``__slots__`` classes or
+``typing.NamedTuple``, not dataclasses, which would load ``inspect`` and
+with it ``ast``, ``dis`` and ``tokenize``.  lightsout's own modules stay
+imported here: every verb needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import random
 import sys
-import traceback
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
@@ -61,18 +66,51 @@ class OverCapError(ValueError):
     """A factor graph over the formula route's vertex cap: a usage error."""
 
 
-@dataclass
 class Report:
-    """Result of one CLI invocation; serializes to the documented JSON schema."""
+    """Result of one CLI invocation; serializes to the documented JSON schema.
 
-    command: str
-    seed: int | None = None
-    results: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    Mutable: handlers and ``_judge`` append to its lists.  Reports compare
+    field by field, so two runs with the same output give equal reports.
+    """
+
+    __slots__ = ("command", "seed", "results", "violations", "notes")
+
+    def __init__(
+        self,
+        command: str,
+        seed: int | None = None,
+        results: list[dict] | None = None,
+        violations: list[dict] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.command = command
+        self.seed = seed
+        self.results = [] if results is None else results
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
+
+    def _fields(self) -> tuple:
+        return self.command, self.seed, self.results, self.violations, self.notes
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Report:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"Report({fields})"
 
     def to_dict(self) -> dict:
-        return {"schema": SCHEMA_VERSION, **asdict(self)}
+        """The JSON payload: a copy, so rows (flat dicts of scalars) are copied too."""
+        return {
+            "schema": SCHEMA_VERSION,
+            "command": self.command,
+            "seed": self.seed,
+            "results": [dict(row) for row in self.results],
+            "violations": [dict(row) for row in self.violations],
+            "notes": list(self.notes),
+        }
 
 
 # -- output ----------------------------------------------------------------
@@ -99,6 +137,8 @@ def _format_table(rows: list[dict]) -> str:
 
 def _emit(report: Report, args) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(_format_table(report.results))
@@ -109,6 +149,8 @@ def _emit(report: Report, args) -> None:
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
+    import csv
+
     columns, cells = _cells(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -673,6 +715,8 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     except Exception as exc:
+        import traceback
+
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3, None

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from lightsout import gfmat
 from lightsout.formulas import check_mode
@@ -29,20 +28,37 @@ class GraphParseError(ValueError):
     """Malformed graph file or family spec; message carries line/column."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges are (u, v) tuples with u < v, 0-based."""
+    """Simple undirected graph; edges are (u, v) tuples with u < v, 0-based.
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    Immutable, compared and hashed by its fields: a factor summary's memo key.
+    """
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]):
+        if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in self.edges:
+        for e in edges:
             u, v = e
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge {e} out of range for n={self.vertex_count}")
+            if not (0 <= u < v < vertex_count):
+                raise ValueError(f"edge {e} out of range for n={vertex_count}")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Graph:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -215,26 +231,41 @@ def switching_matrix(g: Graph, mode: str = "open", p: int = 2) -> PrimeFieldMatr
     return PrimeFieldMatrix.from_bits(_switching_bits(g, mode), g.vertex_count, p)
 
 
-@dataclass(frozen=True)
 class LightsInstance:
-    """A graph, a switching mode, and an initial on/off configuration."""
+    """A graph, a switching mode, and an initial on/off configuration; immutable."""
 
-    graph: Graph
-    mode: str
-    config: tuple[int, ...]
+    __slots__ = ("graph", "mode", "config")
 
-    def __post_init__(self):
-        check_mode(self.mode)
-        if len(self.config) != self.graph.vertex_count:
+    def __init__(self, graph: Graph, mode: str, config: tuple[int, ...]):
+        check_mode(mode)
+        if len(config) != graph.vertex_count:
             raise ValueError(
-                f"configuration length {len(self.config)} != {self.graph.vertex_count}"
+                f"configuration length {len(config)} != {graph.vertex_count}"
             )
-        if any(b not in (0, 1) for b in self.config):
+        if any(b not in (0, 1) for b in config):
             raise ValueError("configuration entries must be 0 or 1")
+        for name, value in zip(self.__slots__, (graph, mode, config)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LightsInstance is immutable")
+
+    def _fields(self) -> tuple:
+        return self.graph, self.mode, self.config
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LightsInstance:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "LightsInstance(graph={!r}, mode={!r}, config={!r})".format(*self._fields())
 
 
-@dataclass(frozen=True)
-class PressSolution:
+class PressSolution(NamedTuple):
     """One press set plus a kernel basis describing all of them.
 
     The full solution set is the coset {presses + span(kernel)}; there are

@@ -20,15 +20,13 @@ its arguments, so matrices can be shared freely across threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from lightsout import _gf2kernel
 from lightsout.gfpoly import _pack_bits, _unpack_bits, check_prime
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     """Rank, nullity and pivot columns of a row-reduced matrix."""
 
     rank: int

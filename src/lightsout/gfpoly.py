@@ -25,10 +25,9 @@ it raises ValueError instead of running for hours.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 #: Largest degree accepted by :func:`factor`.  Trial division against the
 #: irreducible sieve is quadratic-ish in the sieve size; inputs here are
@@ -347,8 +346,7 @@ def prod(factors: Iterable[Poly], p: int) -> Poly:
     return Poly(_unpack_bits(acc, acc.bit_length()), 2)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Factorization into monic irreducibles: unit * prod(poly**exponent)."""
 
     unit: int

@@ -28,7 +28,6 @@ must agree; the test suite leans on that cross-check heavily.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix
@@ -36,24 +35,40 @@ from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_gcd,
 from lightsout.gfpoly import _divmod2, _gcd2, _mul2, _pack_bits, _unpack_bits
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """Ordered invariant factors of a polynomial matrix: s_i divides s_{i+1}.
 
     Over GF(2) (or with no factors) ``packed`` holds the factors of degree
     >= 1 as packed ints, bit i the coefficient of x^i, which every gcd of
-    ``formulas.nullity_snf_product`` reads.  The Smith form hands them over
-    from its loop; otherwise they are packed once, on construction.  At odd
-    p ``packed`` is None.
+    ``formulas.nullity_snf_product`` reads and ``charpoly_from_snf``
+    multiplies.  The Smith form hands them over from its loop; otherwise
+    they are packed once, on construction.  At odd p ``packed`` is None.
+    Immutable; ``==``, ``hash`` and ``repr`` read the invariant factors only.
     """
 
-    invariant_factors: tuple[Poly, ...]
-    packed: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("invariant_factors", "packed")
 
-    def __post_init__(self) -> None:
-        if self.packed is None and self.field in (None, 2):
+    def __init__(
+        self, invariant_factors: tuple[Poly, ...], packed: tuple[int, ...] | None = None
+    ):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        if packed is None and self.field in (None, 2):
             packed = tuple([_pack_bits(f.coeffs) for f in self.nontrivial()])
-            object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "packed", packed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SnfResult is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SnfResult:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash(self.invariant_factors)
+
+    def __repr__(self) -> str:
+        return f"SnfResult(invariant_factors={self.invariant_factors!r})"
 
     def __len__(self) -> int:
         return len(self.invariant_factors)
@@ -70,7 +85,6 @@ class SnfResult:
         return ", ".join(str(f) for f in self.invariant_factors)
 
 
-@dataclass
 class FactorData:
     """Per-matrix map {irreducible monic poly -> exponents across invariant factors}.
 
@@ -79,7 +93,18 @@ class FactorData:
     Jordan block sizes attached to its roots.
     """
 
-    exponents: dict[Poly, tuple[int, ...]]
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: dict[Poly, tuple[int, ...]]):
+        self.exponents = exponents
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FactorData:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __repr__(self) -> str:
+        return f"FactorData(exponents={self.exponents!r})"
 
     def __str__(self) -> str:
         return "; ".join(
@@ -320,15 +345,21 @@ def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
     """Characteristic polynomial as the product of the invariant factors.
 
     The factors carry their field; ``p`` names it for an empty list (a
-    0-vertex graph), whose product is 1.  Raises ValueError when ``p``
-    names another field than the factors'.
+    0-vertex graph), whose product is 1.  Over GF(2) the product runs on
+    the result's ``packed`` factors and builds one Poly.  Raises ValueError
+    when ``p`` names another field than the factors'.
     """
     field = s.field or p
     if field is None:
         raise ValueError("empty invariant factor list has no field; pass p")
     if p is not None and p != field:
         raise ValueError(f"field mismatch: GF({field}) vs GF({p})")
-    return prod(s.invariant_factors, field)
+    if field != 2:
+        return prod(s.invariant_factors, field)
+    acc = 1
+    for f in s.packed:
+        acc = _mul2(acc, f)
+    return _unpack2(acc)
 
 
 def charpoly_oracle(A, p: int) -> Poly:

@@ -684,3 +684,119 @@ class TestOutputs:
         code2, report2 = cli.run(echoed)
         capsys.readouterr()
         assert report2.results == report.results
+
+
+class TestReport:
+    def test_reports_compare_field_by_field(self, capsys):
+        # The benchmark keeps every later pass's output that compares != to
+        # the first pass's, so equal runs must give equal reports.
+        argv = ["sweep", "stars:3-5"]
+        first, second = cli.run(argv)[1], cli.run(argv)[1]
+        capsys.readouterr()
+        assert first is not second and first == second
+        report = cli.Report("lightsout x", 3, [{"a": 1}], [], ["n"])
+        assert report == cli.Report(
+            command="lightsout x", seed=3, results=[{"a": 1}], violations=[], notes=["n"]
+        )
+        for changed in (
+            cli.Report("lightsout y", 3, [{"a": 1}], [], ["n"]),
+            cli.Report("lightsout x", None, [{"a": 1}], [], ["n"]),
+            cli.Report("lightsout x", 3, [{"a": 2}], [], ["n"]),
+            cli.Report("lightsout x", 3, [{"a": 1}], [{"a": 1}], ["n"]),
+            cli.Report("lightsout x", 3, [{"a": 1}], [], []),
+        ):
+            assert report != changed
+
+    def test_reports_are_mutable_with_fresh_lists(self):
+        a, b = cli.Report("lightsout a"), cli.Report("lightsout b")
+        assert (a.seed, a.results, a.violations, a.notes) == (None, [], [], [])
+        a.results.append({"x": 1})
+        a.notes.append("note")
+        a.seed = 7
+        assert (b.results, b.notes, a.seed) == ([], [], 7)
+
+    def test_to_dict_keeps_key_order_and_copies_deeply(self, capsys):
+        _, report = cli.run(["sweep", "stars:3-5"])
+        capsys.readouterr()
+        report.violations.append({"v": 1})
+        d = report.to_dict()
+        assert list(d) == ["schema", "command", "seed", "results", "violations", "notes"]
+        assert d["schema"] == cli.SCHEMA_VERSION
+        assert d["results"] == report.results and d["results"] is not report.results
+        assert list(d["results"][0]) == list(report.results[0])
+        before = [dict(row) for row in report.results]
+        d["results"][0]["g"] = "changed"
+        d["violations"][0]["v"] = 2
+        d["notes"].append("added")
+        assert report.results == before
+        assert report.violations == [{"v": 1}] and "added" not in report.notes
+
+
+#: Standard-library modules a text-output run never uses; ``cli`` imports
+#: json, csv and traceback only on the paths that need them.
+DEFERRED_MODULES = {"dataclasses", "inspect", "json", "csv", "traceback"}
+
+
+def _fresh_interpreter(code):
+    """Run code in a new interpreter; its exit status, stdout, stderr and
+    the modules loaded at its end (the stdout line after ``modules:``)."""
+    src = str(Path(lightsout.__file__).resolve().parent.parent)
+    script = code + "\nimport sys\nprint('modules:', *sorted(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    out, _, modules = done.stdout.rpartition("modules:")
+    return done.returncode, out, done.stderr, set(modules.split())
+
+
+class TestImportFootprint:
+    def test_text_run_loads_no_deferred_module(self):
+        *_, bare = _fresh_interpreter("")
+        code, out, err, loaded = _fresh_interpreter(
+            "import lightsout.cli as cli\n"
+            "cli.build_parser()\n"
+            "print('exit', cli.run(['nullity', '--g', 'petersen', '--h', 'path:3'])[0])"
+        )
+        assert code == 0, err
+        assert "nullity_formula" in out and "exit 0" in out
+        assert {"lightsout.formulas", "lightsout.game", "lightsout.gfmat", "lightsout.snf"} <= loaded
+        assert (loaded - bare) & DEFERRED_MODULES == set()
+
+    def test_json_report_in_a_fresh_interpreter(self):
+        code, out, err, _ = _fresh_interpreter(
+            "import lightsout.cli as cli\n"
+            "code = cli.run(['nullity', '--g', 'petersen', '--h', 'path:3', '--json'])[0]\n"
+            "assert code == 0, code"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["results"][0]["nullity_formula"] == 4
+
+    def test_csv_in_a_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        code, _, err, _ = _fresh_interpreter(
+            "import lightsout.cli as cli\n"
+            f"code = cli.run(['nullity', '--g', 'petersen', '--h', 'path:3', '--csv', {str(path)!r}])[0]\n"
+            "assert code == 0, code"
+        )
+        assert code == 0, err
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["g"], r["h"], r["nullity_formula"]) for r in rows] == [("petersen", "path:3", "4")]
+
+    def test_internal_fault_in_a_fresh_interpreter(self):
+        code, _, err, _ = _fresh_interpreter(
+            "import lightsout.cli as cli\n"
+            "def broken(A):\n"
+            "    raise ValueError('simulated fault')\n"
+            "cli.snf.invariant_factors = broken\n"
+            "code = cli.run(['nullity', '--g', 'path:2', '--h', 'path:2'])[0]\n"
+            "assert code == 3, code"
+        )
+        assert code == 0, err
+        assert "error: internal ValueError: simulated fault" in err
+        assert "Traceback (most recent call last)" in err

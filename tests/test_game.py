@@ -395,3 +395,67 @@ class TestRandomGraph:
     def test_respects_vertex_count(self):
         g = game.random_graph(5, random.Random(1))
         assert g.vertex_count == 5
+
+
+class TestRecords:
+    def test_graph_equality_and_hash_follow_the_fields(self):
+        g = Graph(3, frozenset({(0, 1), (1, 2)}))
+        same = Graph.from_edges(3, [(2, 1), (1, 0)])
+        assert g == same and hash(g) == hash(same)
+        assert g == Graph(vertex_count=3, edges=frozenset({(0, 1), (1, 2)}))
+        assert g != Graph(4, g.edges)
+        assert g != Graph(3, frozenset({(0, 1)}))
+        assert g != (3, g.edges)  # a record, not a tuple
+        assert len({g, same, build_family("path:3")}) == 1
+
+    def test_graph_is_immutable(self):
+        g = build_family("path:3")
+        for name, value in (("vertex_count", 4), ("edges", frozenset())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert g == build_family("path:3")
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(-1, ()), (2, ((0, 2),)), (2, ((1, 0),)), (2, ((1, 1),)), (3, ((-1, 2),))],
+    )
+    def test_graph_validates_on_construction(self, n, edges):
+        with pytest.raises(ValueError):
+            Graph(n, frozenset(edges))
+
+    def test_equal_graphs_share_one_factor_summary(self):
+        from lightsout import cli
+
+        memo = {}
+        first = cli._factor(memo, build_family("path:3"), "open", 2)
+        again = cli._factor(memo, Graph.from_edges(3, [(1, 2), (0, 1)]), "open", 2)
+        assert again is first and len(memo) == 1
+        cli._factor(memo, build_family("path:3"), "closed", 2)
+        assert len(memo) == 2
+
+    def test_lights_instance_fields_equality_and_immutability(self):
+        g = build_family("path:3")
+        inst = LightsInstance(g, "open", (1, 0, 1))
+        assert (inst.graph, inst.mode, inst.config) == (g, "open", (1, 0, 1))
+        same = LightsInstance(graph=build_family("path:3"), mode="open", config=(1, 0, 1))
+        assert inst == same and hash(inst) == hash(same)
+        assert inst != LightsInstance(g, "closed", (1, 0, 1))
+        with pytest.raises(AttributeError):
+            inst.config = (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "mode, config",
+        [("toggle", (1, 0, 1)), ("open", (1, 0)), ("open", (1, 0, 1, 1)), ("closed", (0, 2, 1))],
+    )
+    def test_lights_instance_validates_on_construction(self, mode, config):
+        with pytest.raises(ValueError):
+            LightsInstance(build_family("path:3"), mode, config)
+
+    def test_press_solution_fields_and_equality(self):
+        sol = solve_presses(LightsInstance(game.path_graph(3), "open", (1, 0, 1)))
+        assert (sol.presses, sol.kernel, sol.count_exponent) == ((0, 1, 0), ((1, 0, 1),), 1)
+        assert sol == game.PressSolution(presses=(0, 1, 0), kernel=((1, 0, 1),))
+        assert sol == game.PressSolution((0, 1, 0), ((1, 0, 1),))
+        assert sol != game.PressSolution((1, 1, 1), ((1, 0, 1),))
+        with pytest.raises(AttributeError):
+            sol.presses = (1, 1, 1)

@@ -472,3 +472,14 @@ class TestSylvesterOperator:
             before = gfmat.rank_nullity(gfmat.sylvester_operator(A, B)).nullity
             after = gfmat.rank_nullity(gfmat.sylvester_operator(A2, B2)).nullity
             assert before == after
+
+
+class TestRankProfile:
+    def test_fields_and_equality(self):
+        profile = gfmat.rank_nullity(P3)
+        assert (profile.rank, profile.nullity, profile.pivot_columns) == (2, 1, (0, 1))
+        assert profile == gfmat.RankProfile(rank=2, nullity=1, pivot_columns=(0, 1))
+        assert profile == gfmat.RankProfile(2, 1, (0, 1))
+        assert profile != gfmat.RankProfile(2, 1, (0, 2))
+        with pytest.raises(AttributeError):
+            profile.rank = 3

@@ -358,3 +358,15 @@ class TestFactor:
                 for d in range(1, q.degree // 2 + 1):
                     for cand in all_monic_polys(p, d):
                         assert not (q % cand).is_zero
+
+
+class TestFactorization:
+    def test_fields_equality_and_immutability(self):
+        d = factor(P("x^3 + x^2"))
+        assert (d.unit, d.factors, d.p) == (1, ((P("x"), 2), (P("x + 1"), 1)), 2)
+        assert d == Factorization(unit=1, factors=((P("x"), 2), (P("x + 1"), 1)), p=2)
+        assert d == Factorization(1, ((P("x"), 2), (P("x + 1"), 1)), 2)
+        assert d != Factorization(1, ((P("x"), 2),), 2)
+        assert str(d) == "(x)^2 * (x + 1)"
+        with pytest.raises(AttributeError):
+            d.unit = 2

@@ -13,7 +13,7 @@ from helpers import (
     random_symmetric01,
     smith_normal_form_on_polys,
 )
-from lightsout import gfmat, snf
+from lightsout import gfmat, gfpoly, snf
 from lightsout.game import (
     build_family,
     complete_graph,
@@ -530,6 +530,24 @@ class TestCharpolyRoutes:
         with pytest.raises(ValueError, match=r"field mismatch: GF\(2\) vs GF\(3\)"):
             snf.charpoly_from_snf(s, 3)
 
+    def test_gf2_product_runs_on_the_packed_factors(self, monkeypatch):
+        # packing the factors again in gfpoly.prod was half of a verify pass's packs
+        rng = random.Random(67)
+        results = [
+            snf.invariant_factors(switching_matrix(random_graph(rng.randint(1, 10), rng)))
+            for _ in range(30)
+        ]
+        packs = []
+        for module in (snf, gfpoly):
+            pack_bits = module._pack_bits
+            monkeypatch.setattr(
+                module, "_pack_bits", lambda v, f=pack_bits: packs.append(v) or f(v)
+            )
+        got = [snf.charpoly_from_snf(s) for s in results]
+        got.append(snf.charpoly_from_snf(snf.SnfResult(()), 2))
+        assert packs == []
+        assert got == [prod(s.invariant_factors, 2) for s in results] + [Poly.one(2)]
+
     def test_known_closed_forms(self):
         # complete graph K_n: det(xI - A) = (x - (n-1)) (x + 1)^(n-1)
         for n in (2, 3, 4, 5):
@@ -582,3 +600,35 @@ class TestFactorData:
                     (q ** sum(es) for q, es in fd.exponents.items()), p
                 )
                 assert recomposed == snf.charpoly_from_snf(s)
+
+
+class TestRecords:
+    def test_snf_result_equality_and_hash_ignore_packed(self):
+        factors = (Poly.one(2), P("x"), P("x^2 + x"))
+        s = snf.SnfResult(factors)
+        other = snf.SnfResult(invariant_factors=factors, packed=())
+        assert s.packed != other.packed
+        assert s == other and hash(s) == hash(other)
+        assert s != snf.SnfResult(factors[:2])
+        assert len({s, other}) == 1
+
+    def test_snf_result_repr_leaves_out_packed(self):
+        s = snf.invariant_factors(switching_matrix(star_graph(3)))
+        assert repr(s).startswith("SnfResult(invariant_factors=(")
+        assert "packed" not in repr(s)
+        assert len(s) == 3 and str(s) == "1, 1, x^3"
+
+    def test_snf_result_is_immutable(self):
+        s = snf.SnfResult((P("x"),))
+        for name, value in (("invariant_factors", ()), ("packed", (0b11,))):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        assert s.packed == (0b10,)
+
+    def test_factor_data_fields_and_equality(self):
+        fd = snf.factor_data(snf.invariant_factors(switching_matrix(star_graph(5))))
+        assert fd.exponents == {P("x"): (1, 1, 3)}
+        assert fd == snf.FactorData(exponents={P("x"): (1, 1, 3)})
+        assert fd == snf.FactorData({P("x"): (1, 1, 3)})
+        assert fd != snf.FactorData({P("x"): (1, 3)})
+        assert str(fd) == "x: [1, 1, 3]"
