@@ -3,18 +3,20 @@
 Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
 A handler only builds its report's rows and notes.  Every comparison row
 carries its verdicts: ``oracle_match`` (a primary route against its oracle:
-the elimination oracle, or the Berkowitz expansion for charpoly) and, on
-product rows, ``bound_holds`` (gcd bound).  One step in ``run`` then copies
-each row that reads ``mismatch`` or ``violated`` into the violations, adds
-one note counting the rows with a cell skipped over the oracle cap, and
-exits 1 exactly when the violations are non-empty.  Usage errors
-(unknown flags, flags the verb does not read, malformed graph specs,
-unreadable or non-UTF-8 files, a non-prime --p, a negative --max-oracle, an
-unwritable --csv path, a factor graph over the formula route's vertex cap)
-exit 2.  Any other exception is an internal fault and exits 3.  An operator
-larger than --max-oracle is never built: its row is marked ``skipped`` in
-every verb.  charpoly counts an n-vertex graph as n * n, so the default cap
-runs its O(n^4) oracle up to n = 64.
+the elimination oracle, the Berkowitz expansion for charpoly, or for a
+product solve a check on a second build of the operator) and, on product
+rows, ``bound_holds`` (gcd bound).  A product solve reads its press matrix,
+its nullity and, when unsolvable, a certificate off one elimination.  One
+step in ``run`` then copies each row that reads ``mismatch`` or
+``violated`` into the violations, adds one note counting the rows with a
+cell skipped over the oracle cap, and exits 1 exactly when the violations
+are non-empty.  Usage errors (unknown flags, flags the verb does not read,
+malformed graph specs, unreadable or non-UTF-8 files, a non-prime --p, a
+negative --max-oracle, an unwritable --csv path, a factor graph over the
+formula route's vertex cap) exit 2.  Any other exception is an internal
+fault and exits 3.  An operator larger than --max-oracle is never built:
+its row is marked ``skipped`` in every verb.  charpoly counts an n-vertex
+graph as n * n, so the default cap runs its O(n^4) oracle up to n = 64.
 Each distinct factor graph is summarized (switching matrix, invariant
 factors, characteristic polynomial) once per invocation, so a sweep over
 n x n pairs computes n invariant-factor lists in open mode and 2n in closed,
@@ -337,23 +339,32 @@ def _cmd_solve(args) -> Report:
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count
     C = PrimeFieldMatrix.from_bits([(1 << n) - 1] * m, n, 2)  # all-on
+    ones = (1,) * (m * n)
 
-    def solve_and_nullity(A, B):
-        nu = formulas.oracle_nullity(A, B, max_dim=args.max_oracle)
-        return game.sylvester_solve(A, B, C), nu
+    def solve_and_check(A, B):
+        x, nu, y = game.sylvester_system(A, B, C)
+        # The check builds its own L.  A and B are symmetric, so L is too,
+        # and a null vector y of L with y . vec(C) = 1 proves vec(C) is
+        # outside L's column space.
+        L = gfmat.sylvester_operator(A, B)
+        if x is not None:
+            ok = L.mul_vec(x) == ones
+        else:
+            ok = y is not None and not any(L.mul_vec(y)) and sum(y) % 2 == 1
+        return x, nu, "ok" if ok else "mismatch"
 
-    solved = _oracle(A, B, args.max_oracle, solve_and_nullity)
+    solved = _oracle(A, B, args.max_oracle, solve_and_check)
     row = {"g": args.g, "h": args.h, "mode": args.mode, "m": m, "n": n, "config": "all-on"}
     if solved == "skipped":
-        row.update(solvable="skipped", presses="skipped", solution_exponent="skipped")
+        cells = ("solvable", "presses", "solution_exponent", "oracle_match")
+        row.update(dict.fromkeys(cells, "skipped"))
     else:
-        X, nu = solved
+        x, nu, verdict = solved
         row.update(
-            solvable="yes" if X is not None else "no",
-            presses="/".join(_presses_string(X.row(i)) for i in range(m))
-            if X is not None
-            else "-",
-            solution_exponent=nu if X is not None else "-",
+            solvable="yes" if x is not None else "no",
+            presses="/".join(_presses_string(x[i::m]) for i in range(m)) if x is not None else "-",
+            solution_exponent=nu if x is not None else "-",
+            oracle_match=verdict,
         )
     return Report(args.command_echo, results=[row])
 

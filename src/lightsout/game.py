@@ -320,6 +320,21 @@ def sylvester_solve(
     Returns one solution X (m x n) or None when the configuration is not
     reachable.
     """
+    m, n = A.rows, B.rows
+    x = sylvester_system(A, B, C)[0]
+    if x is None:
+        return None
+    # the shape is explicit: with no rows the list alone would lose the n columns
+    entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
+    return PrimeFieldMatrix._of_rows(entries, n, A.p)
+
+
+def sylvester_system(A: PrimeFieldMatrix, B: PrimeFieldMatrix, C: PrimeFieldMatrix):
+    """``gfmat.solve_system`` on L vec(X) = vec(C), L the operator of X -> AX - XB.
+
+    One elimination gives (vec(X) or None, the nullity of L, and a
+    certificate when there is no X); entry (i, j) of X sits at index j*m + i.
+    """
     if not A.is_square or not B.is_square:
         raise ValueError("Sylvester solve requires square A and B")
     if A.p != B.p or A.p != C.p:
@@ -329,11 +344,5 @@ def sylvester_solve(
         raise ValueError(
             f"dimension mismatch: C is {C.rows}x{C.cols}, expected {m}x{n}"
         )
-    op = gfmat.sylvester_operator(A, B)
     vec = [C[i, j] for j in range(n) for i in range(m)]
-    x = gfmat.solve(op, vec)
-    if x is None:
-        return None
-    # the shape is explicit: with no rows the list alone would lose the n columns
-    entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
-    return PrimeFieldMatrix._of_rows(entries, n, A.p)
+    return gfmat.solve_system(gfmat.sylvester_operator(A, B), vec)

@@ -246,11 +246,16 @@ def _null_vector(rows, pivots: list[int], f: int, ncols: int, p: int) -> tuple[i
     return tuple(x)
 
 
-def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution of Mx = b, or None when b is outside the column space.
+def solve_system(M: PrimeFieldMatrix, b: Sequence[int]):
+    """(x, nullity, certificate) of Mx = b from one forward elimination of [M | -b].
 
-    Free variables are 0, so the solution is the one read off the RREF of
-    [M | b]: it is the null vector of [M | -b] at the last column.
+    x is the null vector at the last column: the solution read off the RREF,
+    free variables 0, or None when b is outside the column space.  nullity
+    is M's: its columns less the pivots left of the last.  Without an x, the
+    certificate is the first null vector y of M, by free column, with
+    y . b != 0, else None.  For a symmetric M that y is also a left null
+    vector, so it proves b outside the column space, and one always exists.
+    A plain tuple: a NamedTuple class would add to every CLI start.
     """
     if len(b) != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows} rows vs {len(b)} entries")
@@ -261,9 +266,17 @@ def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     else:
         aug = [row + [-v % p] for row, v in zip(M._data, b)]
     rows, pivots = _echelon(aug, n + 1, p, reduced=False)
-    if pivots and pivots[-1] == n:
-        return None
-    return _null_vector(rows, pivots, n, n + 1, p)[:n]
+    k = bisect_left(pivots, n)
+    if k == len(pivots):
+        return _null_vector(rows, pivots, n, n + 1, p)[:n], n - k, None
+    pivot_set = set(pivots)
+    nulls = (_null_vector(rows, pivots, f, n + 1, p)[:n] for f in range(n) if f not in pivot_set)
+    return None, n - k, next((y for y in nulls if sum(a * v for a, v in zip(y, b)) % p), None)
+
+
+def solve(M: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """One solution of Mx = b, free variables 0, or None when b is outside the column space."""
+    return solve_system(M, b)[0]
 
 
 def kernel_basis(M: PrimeFieldMatrix) -> list[tuple[int, ...]]:

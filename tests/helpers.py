@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from lightsout import gfmat
+from lightsout import formulas, gfmat
 from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import Poly
 from lightsout.snf import SnfResult
@@ -119,6 +119,32 @@ def echelon_bits_by_columns(rows, ncols, reduced=True):
         pivots.append(c)
         r += 1
     return out, pivots
+
+
+def product_solve_two_eliminations(A: PrimeFieldMatrix, B: PrimeFieldMatrix):
+    """(solvable, presses, solution_exponent) of the all-on product game over GF(2).
+
+    The route ``solve --g --h`` took before it read all three off one
+    elimination: the nullity from the elimination oracle, and X from a
+    second, column-at-a-time forward elimination of [L | vec C], as its null
+    vector at the last column (free variables 0).  The cells are the CLI
+    row's: presses are X's rows joined by "/", entry (i, j) at index j*m + i.
+    """
+    m, n = A.rows, B.rows
+    nu = formulas.oracle_nullity(A, B)
+    last = 1 << m * n
+    L = gfmat.sylvester_operator(A, B)
+    rows, pivots = echelon_bits_by_columns([row | last for row in L._data], m * n + 1, False)
+    if pivots and pivots[-1] == m * n:
+        return "no", "-", "-"
+    xbits = last
+    for c, row in reversed(list(zip(pivots, rows))):
+        if (row & xbits).bit_count() & 1:
+            xbits |= 1 << c
+    presses = "/".join(
+        "".join(str(xbits >> (j * m + i) & 1) for j in range(n)) for i in range(m)
+    )
+    return "yes", presses, nu
 
 
 def euclid_gcd(a: Poly, b: Poly) -> Poly:

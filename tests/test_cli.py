@@ -4,16 +4,19 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
+from helpers import product_solve_two_eliminations
 
 import lightsout
-from lightsout import cli, formulas, game, gfmat, snf
+from lightsout import _gf2kernel, cli, formulas, game, gfmat, snf
 from lightsout.gfpoly import Poly
 
 
@@ -190,8 +193,25 @@ def _off_by_one_where(original, wrong):
     return lambda A, B, **kw: original(A, B, **kw) + bool(wrong(A, B))
 
 
+def _first_press_flipped(solve_system):
+    """gfmat.solve_system whose solution has its first entry flipped."""
+
+    def tampered(M, b):
+        x, nullity, certificate = solve_system(M, b)
+        return (1 - x[0], *x[1:]), nullity, certificate
+
+    return tampered
+
+
 #: verb -> (argv, module, name to patch, patch from the original, rows the patch fails)
 VERDICT_CASES = {
+    "solve": (
+        ["solve", "--g", "path:3", "--h", "path:5", "--mode", "closed"],
+        gfmat,
+        "solve_system",
+        _first_press_flipped,
+        lambda row: True,
+    ),
     "charpoly": (
         ["charpoly", "--g", "petersen"],
         snf,
@@ -462,6 +482,102 @@ class TestCommands:
         assert row["nullity_oracle"] == "skipped"
         assert row["oracle_match"] == "skipped"
         assert row["nullity_formula"] == 42
+
+
+def _write_graph(path: Path, g: game.Graph) -> str:
+    path.write_text(f"{g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    return f"file:{path}"
+
+
+class TestProductSolve:
+    """solve --g --h: one elimination of [L | vec C], checked on a second build of L."""
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_path_product_presses_are_the_grid_presses(self, mode, capsys):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                _, product = cli.run(["solve", "--g", f"path:{m}", "--h", f"path:{n}", "--mode", mode])
+                _, grid = cli.run(["solve", "--g", f"grid:{m}x{n}", "--mode", mode])
+                got, want = product.results[0], grid.results[0]
+                presses = got["presses"]
+                if got["solvable"] == "yes":  # row i of X to indices j*m + i
+                    rows = presses.split("/")
+                    presses = "".join(rows[i][j] for j in range(n) for i in range(m))
+                assert got["oracle_match"] == "ok"
+                assert (got["solvable"], presses, got["solution_exponent"]) == (
+                    want["solvable"],
+                    want["presses"],
+                    want["solution_exponent"],
+                ), (m, n)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("g, h", [("petersen", "cycle:7"), ("path:3", "path:3")])
+    def test_one_elimination_and_two_operator_builds(self, g, h, capsys, monkeypatch):
+        calls = Counter()
+        for module, name in (
+            (_gf2kernel, "echelon_bits"),
+            (gfmat, "sylvester_operator"),
+            (formulas, "oracle_nullity"),
+        ):
+
+            def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        code, report = cli.run(["solve", "--g", g, "--h", h])
+        capsys.readouterr()
+        assert code == 0 and report.results[0]["oracle_match"] == "ok"
+        assert calls == {"echelon_bits": 1, "sylvester_operator": 2}
+
+    def test_unsolvable_product_reads_no_with_its_certificate_checked(self, capsys):
+        code, _, payload = run_json(["solve", "--g", "path:1", "--h", "path:1"], capsys)
+        assert code == 0 and payload["violations"] == []
+        row = payload["results"][0]
+        assert (row["solvable"], row["presses"], row["solution_exponent"]) == ("no", "-", "-")
+        assert row["oracle_match"] == "ok"
+
+    @pytest.mark.parametrize(
+        "side, tamper",
+        [
+            (1, lambda y: (0,)),  # a null vector of L, but y . vec(C) = 0
+            (3, lambda y: (1 - y[0], 1 - y[1], *y[2:])),  # y . vec(C) = 1, but L y != 0
+            (3, lambda y: None),
+        ],
+    )
+    def test_a_tampered_certificate_reads_mismatch(self, side, tamper, capsys, monkeypatch):
+        original = gfmat.solve_system
+
+        def tampered(M, b):
+            x, nullity, certificate = original(M, b)
+            return x, nullity, tamper(certificate)
+
+        monkeypatch.setattr(gfmat, "solve_system", tampered)
+        code, report = cli.run(["solve", "--g", f"path:{side}", "--h", f"path:{side}"])
+        capsys.readouterr()
+        row = report.results[0]
+        assert (row["solvable"], row["oracle_match"]) == ("no", "mismatch")
+        assert code == 1 and report.violations == [row]
+
+    def test_rows_equal_the_two_elimination_route(self, tmp_path, capsys):
+        rng = random.Random(2104)
+        empty = _write_graph(tmp_path / "empty.txt", game.Graph(0, frozenset()))
+        cases = [(empty, "path:3"), ("path:3", empty), (empty, empty)]
+        for k in range(200):
+            g, h = (game.random_graph(rng.randint(1, 7), rng) for _ in range(2))
+            cases.append(
+                (_write_graph(tmp_path / f"g{k}.txt", g), _write_graph(tmp_path / f"h{k}.txt", h))
+            )
+        for g, h in cases:
+            B = game.switching_matrix(game.build_family(h), "open")
+            for mode in ("open", "closed"):
+                code, report = cli.run(["solve", "--g", g, "--h", h, "--mode", mode])
+                row = report.results[0]
+                A = game.switching_matrix(game.build_family(g), mode)
+                assert code == 0 and row["oracle_match"] == "ok"
+                got = (row["solvable"], row["presses"], row["solution_exponent"])
+                assert got == product_solve_two_eliminations(A, B), (g, h, mode)
+        capsys.readouterr()
 
 
 class TestSweep:

@@ -267,6 +267,25 @@ class TestSolve:
                     want = tuple(x)
                 assert gfmat.solve(M, b) == want
 
+    def test_system_nullity_and_certificate_of_symmetric_matrices(self):
+        # A symmetric M's column space is the orthogonal complement of its
+        # null space, so every unsolvable system has a certificate.
+        rng = random.Random(31)
+        for p in (2, 3):
+            for _ in range(60):
+                n = rng.randint(1, 7)
+                S = PrimeFieldMatrix(random_modp_matrix(n, n, p, rng), p)
+                M = S + S.transpose()
+                b = [rng.randrange(p) for _ in range(n)]
+                x, nullity, y = gfmat.solve_system(M, b)
+                assert x == gfmat.solve(M, b)
+                assert nullity == gfmat.rank_nullity(M).nullity
+                if x is None:
+                    assert M.mul_vec(y) == (0,) * n
+                    assert sum(a * v for a, v in zip(y, b)) % p
+                else:
+                    assert y is None
+
     def test_matches_brute_force_on_small_systems(self):
         rng = random.Random(23)
         for p in (2, 3):
