@@ -15,12 +15,12 @@ malformed graph specs, unreadable or non-UTF-8 files, a non-prime --p, a
 negative --max-oracle, an unwritable --csv path, a factor graph over the
 formula route's vertex cap) exit 2.  Any other exception is an internal
 fault and exits 3.  An operator larger than --max-oracle is never built:
-its row is marked ``skipped`` in every verb.  charpoly counts an n-vertex
-graph as n * n, so the default cap runs its O(n^4) oracle up to n = 64.
-Each distinct factor graph is summarized (switching matrix, invariant
-factors, characteristic polynomial) once per invocation, so a sweep over
-n x n pairs computes n invariant-factor lists in open mode and 2n in closed,
-not 2n^2; each is one Krylov pass and a k x k Smith form (``snf``).
+its row is marked ``skipped`` in every verb; the default cap is 4096, and 1024
+for elimination at odd p.  charpoly counts n vertices as n * n, so by default
+its O(n^4) oracle runs up to n = 64.  Each distinct factor graph is summarized
+once per invocation (``FactorSummary``, kept packed over GF(2), where no row
+builds a Poly), so a sweep over n x n pairs computes n invariant-factor lists
+in open mode and 2n in closed, not 2n^2: each one Krylov pass and a k x k Smith form.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -41,12 +41,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import reduce
 from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
 from lightsout.game import Graph, GraphParseError
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, check_prime, shift_one
+from lightsout.gfpoly import Poly, _mul2, check_prime, shift_one
 
 SCHEMA_VERSION = 1
 
@@ -164,13 +165,16 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 # -- shared computation ------------------------------------------------------
 
 
-def _oracle(A, B, cap: int, compute=None):
+def _oracle(A, B, cap: int | None, compute=None):
     """compute(A, B) for the A-by-B product operator, or "skipped" over the cap.
 
     compute defaults to the elimination oracle, formulas.oracle_nullity.
     Every verb that builds a product operator comes through here, so an
     operator larger than --max-oracle is skipped the same way everywhere.
     """
+    if cap is None:  # no --max-oracle: odd-p elimination, the slow oracle, has the lower cap
+        odd_p_elimination = A.p != 2 and compute is None
+        cap = formulas.ORACLE_SIZE_CAP_ODD_P if odd_p_elimination else formulas.ORACLE_SIZE_CAP
     if A.rows * B.rows > cap:
         return "skipped"
     if compute is None:
@@ -185,9 +189,18 @@ def _match(oracle, value) -> str:
     return "ok" if oracle == value else "mismatch"
 
 
-#: A factor graph's (switching matrix, invariant factors, characteristic
-#: polynomial): all a comparison row needs of it.
-FactorSummary = tuple[PrimeFieldMatrix, snf.SnfResult, Poly]
+class FactorSummary:
+    """A factor graph's switching matrix, SnfResult and characteristic polynomial; over
+    GF(2) the polynomial is packed, bit i the coefficient of x^i, and ``poly()`` builds it."""
+
+    __slots__ = ("matrix", "snf", "charpoly")
+
+    def __init__(self, M: PrimeFieldMatrix, s: snf.SnfResult, p: int):
+        self.matrix, self.snf = M, s
+        self.charpoly = reduce(_mul2, s.packed, 1) if p == 2 else snf.charpoly_from_snf(s, p)
+
+    def poly(self) -> Poly:
+        return snf._unpack2(self.charpoly) if type(self.charpoly) is int else self.charpoly
 
 
 def _check_cap(g: Graph, p: int) -> None:
@@ -214,7 +227,7 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
         _check_cap(g, p)
         M = game.switching_matrix(g, mode, p)
         s = snf.invariant_factors(M)
-        memo[key] = (M, s, snf.charpoly_from_snf(s, p))
+        memo[key] = FactorSummary(M, s, p)
     return memo[key]
 
 
@@ -235,15 +248,13 @@ def _product_row(
     mode.  Closed mode shifts the first matrix to A + I; over GF(2) that is
     exactly the closed-switching matrix of the product graph.  The bound is
     deg gcd(c_A, c_B) of the two matrices compared, with both characteristic
-    polynomials read off their invariant factors.  With ``charpolys`` the
-    row also carries the open-mode polynomials of both factors:
-    c_A(x) = c_{A+I}(x + 1) over every GF(p).
+    polynomials read off their invariant factors, packed over GF(2).  With
+    ``charpolys`` the row also carries the open-mode polynomials of both
+    factors: c_A(x) = c_{A+I}(x + 1) over every GF(p).
     """
-    A, sa, ca = fa
-    B, sb, cb = fb
-    value = formulas.nullity_snf_product(sa, sb)
-    bound = formulas.gcd_lower_bound(ca, cb)
-    oracle = _oracle(A, B, cap)
+    value = formulas.nullity_snf_product(fa.snf, fb.snf)
+    bound = formulas.gcd_lower_bound(fa.charpoly, fb.charpoly)
+    oracle = _oracle(fa.matrix, fb.matrix, cap)
 
     row = dict(extra or {})
     row.update(
@@ -251,7 +262,7 @@ def _product_row(
         h=hspec,
         mode=mode,
         p=p,
-        operator_size=A.rows * B.rows,
+        operator_size=fa.matrix.rows * fb.matrix.rows,
         nullity_formula=value,
         lower_bound=bound,
         nullity_oracle=oracle,
@@ -259,8 +270,8 @@ def _product_row(
         bound_holds="ok" if bound <= (value if oracle == "skipped" else oracle) else "violated",
     )
     if charpolys:
-        row["charpoly_g"] = str(shift_one(ca) if mode == "closed" else ca)
-        row["charpoly_h"] = str(cb)
+        row["charpoly_g"] = str(shift_one(fa.poly()) if mode == "closed" else fa.poly())
+        row["charpoly_h"] = str(fb.poly())
     return row
 
 
@@ -273,7 +284,8 @@ def _presses_string(bits: Sequence[int]) -> str:
 
 def _cmd_charpoly(args) -> Report:
     g = game.build_family(args.g)
-    M, _, via_snf = _factor({}, g, args.mode, args.p)
+    f = _factor({}, g, args.mode, args.p)
+    M, via_snf = f.matrix, f.poly()
     via_oracle = _oracle(M, M, args.max_oracle, lambda A, _: snf.charpoly_oracle(A, args.p))
     row = {
         "g": args.g,
@@ -289,14 +301,14 @@ def _cmd_charpoly(args) -> Report:
 
 def _cmd_snf(args) -> Report:
     g = game.build_family(args.g)
-    _, s, c = _factor({}, g, args.mode, args.p)
+    f = _factor({}, g, args.mode, args.p)
     row = {
         "g": args.g,
         "mode": args.mode,
         "p": args.p,
         "n": g.vertex_count,
-        "invariant_factors": str(s),
-        "charpoly": str(c),
+        "invariant_factors": str(f.snf),
+        "charpoly": str(f.poly()),
     }
     return Report(args.command_echo, results=[row])
 
@@ -305,6 +317,7 @@ def _cmd_nullity(args, charpolys: bool = False) -> Report:
     memo: dict = {}
     fa = _factor(memo, game.build_family(args.g), args.mode, args.p)
     fb = _factor(memo, game.build_family(args.h), "open", args.p)
+    fa.poly(), fb.poly()  # unprinted; perfbench/test_tracer.py counts a GF(2) nullity's Poly
     row = _product_row(
         args.g, args.h, fa, fb, args.mode, args.p, args.max_oracle, charpolys=charpolys
     )
@@ -504,14 +517,6 @@ def _verify_lemma(args) -> Report:
     return report
 
 
-def _x_multiplicity(f: Poly) -> int:
-    """Multiplicity of the factor x, i.e. the number of leading zero coefficients."""
-    for i, c in enumerate(f.coeffs):
-        if c:
-            return i
-    return 0
-
-
 def _piecewise_star_path(symbol: int, nu: int) -> int:
     """The audited piecewise rule: 0 if nu=0; (symbol-3)+nu if 1<=nu<=3; symbol else."""
     if nu == 0:
@@ -530,15 +535,16 @@ def _verify_example_star_path(args) -> Report:
         "multiplicity_swapped",
     ]
     memo: dict = {}
-    paths = {}  # m -> (matrix, invariant factors, GF(2) nullity, multiplicity of x in c_path)
+    paths = {}  # m -> (summary, GF(2) nullity, multiplicity of x in c_path)
     for m in range(1, 10):
-        a_path, s_path, c_path = _factor(memo, game.path_graph(m), "open", 2)
-        paths[m] = (a_path, s_path, gfmat.rank_nullity(a_path).nullity, _x_multiplicity(c_path))
+        f = _factor(memo, game.path_graph(m), "open", 2)
+        c = f.charpoly  # packed: the multiplicity of x is the count of trailing zero bits
+        paths[m] = (f, gfmat.rank_nullity(f.matrix).nullity, (c & -c).bit_length() - 1)
     for n in (3, 5, 7, 9):
-        a_star, s_star, _ = _factor(memo, game.star_graph(n), "open", 2)
-        for m, (a_path, s_path, nu_nullity, nu_mult) in paths.items():
-            value = formulas.nullity_snf_product(s_star, s_path)
-            oracle = _oracle(a_star, a_path, args.max_oracle)
+        star = _factor(memo, game.star_graph(n), "open", 2)
+        for m, (path, nu_nullity, nu_mult) in paths.items():
+            value = formulas.nullity_snf_product(star.snf, path.snf)
+            oracle = _oracle(star.matrix, path.matrix, args.max_oracle)
             report.results.append(
                 {
                     "n": n,
@@ -607,9 +613,9 @@ _OPTIONS = {
     "--seed": dict(type=int, default=1, metavar="N"),
     "--max-oracle": dict(
         type=_nonnegative_int,
-        default=formulas.ORACLE_SIZE_CAP,
         metavar="N",
-        help="largest operator size (n * n for charpoly) an oracle will attempt",
+        help="largest operator size (n * n for charpoly) an oracle will attempt "
+        "(default 4096; 1024 for odd-p elimination)",
     ),
 }
 

@@ -19,8 +19,10 @@ from lightsout.gfpoly import Poly, _gcd2, _pack_bits, poly_gcd
 # test_example2_never_calls_the_charpoly_oracle bind formulas.charpoly_oracle.
 from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
 
-#: Largest operator size (rows = m*n) the elimination oracle accepts.
+#: Largest operator size (rows = m*n) the elimination oracle accepts, and the CLI's
+#: default cap; lower at odd p, where 1024 rows take about 3 s and 4096 over 150 s.
 ORACLE_SIZE_CAP = 4096
+ORACLE_SIZE_CAP_ODD_P = 1024
 
 MODES = ("open", "closed")
 
@@ -110,21 +112,25 @@ def nullity_path_product(m: int, sg: SnfResult) -> int:
     return nullity_snf_product(SnfResult((c_path,)), sg)
 
 
-def gcd_lower_bound(ca: Poly, cb: Poly, mode: str = "open") -> int:
+def gcd_lower_bound(ca: Poly | int, cb: Poly | int, mode: str = "open") -> int:
     """Degree of gcd(c_A, c_B) (open) or gcd(c_A(x-1), c_B) (closed).
 
     A lower bound for the nullity of the product operator built from A and
     B (open) or from A + I and B (closed), given c_A and c_B.  The closed
-    form uses c_{A+I}(x) = c_A(x - 1), which holds over every GF(p).
+    form uses c_{A+I}(x) = c_A(x - 1), which holds over every GF(p).  In
+    open mode over GF(2) both may come packed into ints, bit i the
+    coefficient of x^i, as a product row holds them.
     """
     check_mode(mode)
-    if ca.p != cb.p:
-        raise ValueError(f"field mismatch: GF({ca.p}) vs GF({cb.p})")
-    if mode == "closed":
-        ca = ca.compose(Poly((-1, 1), ca.p))
-    if ca.p == 2:  # on packed ints; gcd(0, 0) = 0 has bit length 0
-        return max(_gcd2(_pack_bits(ca.coeffs), _pack_bits(cb.coeffs)).bit_length() - 1, 0)
-    return poly_gcd(ca, cb).degree or 0
+    if type(ca) is not int or mode != "open":
+        if ca.p != cb.p:
+            raise ValueError(f"field mismatch: GF({ca.p}) vs GF({cb.p})")
+        if mode == "closed":
+            ca = ca.compose(Poly((-1, 1), ca.p))
+        if ca.p != 2:
+            return poly_gcd(ca, cb).degree or 0
+        ca, cb = _pack_bits(ca.coeffs), _pack_bits(cb.coeffs)
+    return max(_gcd2(ca, cb).bit_length() - 1, 0)  # gcd(0, 0) = 0 has bit length 0
 
 
 def oracle_nullity(

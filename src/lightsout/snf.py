@@ -17,8 +17,8 @@ factors.  It diagonalizes by Euclidean division, then turns the diagonal
 into the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by
 gcd/lcm exchanges.  It is one loop at every p, run on a table of field
 operations: on packed polynomials over GF(2) and on Poly at odd p.  So at
-p = 2 ``invariant_factors`` builds a Poly only for each non-unit factor;
-the units share one, and the result keeps the loop's packed factors.  ``char_matrix`` returns the rows of xI - A, the
+p = 2 ``invariant_factors`` builds no Poly: its result builds one per non-unit
+factor on first read.  ``char_matrix`` returns the rows of xI - A, the
 tests' reference route.  Two independent routes to the characteristic
 polynomial are provided: the product of the invariant factors, and a
 division-free (Berkowitz) expansion over the integers reduced mod p.  They
@@ -28,6 +28,7 @@ must agree; the test suite leans on that cross-check heavily.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix
@@ -41,20 +42,37 @@ class SnfResult:
     Over GF(2) (or with no factors) ``packed`` holds the factors of degree
     >= 1 as packed ints, bit i the coefficient of x^i, which every gcd of
     ``formulas.nullity_snf_product`` reads and ``charpoly_from_snf``
-    multiplies.  The Smith form hands them over from its loop; otherwise
-    they are packed once, on construction.  At odd p ``packed`` is None.
-    Immutable; ``==``, ``hash`` and ``repr`` read the invariant factors only.
+    multiplies.  The Smith form hands them over from its loop, and the Poly
+    ``invariant_factors`` are built on first read (``field`` reads none);
+    given as Poly, they are packed once, on construction.  At odd p ``packed`` is
+    None.  Immutable; ``==``, ``hash`` and ``repr`` read the factors only.
     """
 
-    __slots__ = ("invariant_factors", "packed")
+    __slots__ = ("_factors", "packed", "field", "_ones")
 
     def __init__(
         self, invariant_factors: tuple[Poly, ...], packed: tuple[int, ...] | None = None
     ):
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        if packed is None and self.field in (None, 2):
-            packed = tuple([_pack_bits(f.coeffs) for f in self.nontrivial()])
-        object.__setattr__(self, "packed", packed)
+        field = invariant_factors[0].p if invariant_factors else None
+        if packed is None and field in (None, 2):
+            packed = tuple([_pack_bits(f.coeffs) for f in invariant_factors if f.degree])
+        self._fill(invariant_factors, packed, field)
+
+    @classmethod
+    def _gf2(cls, ones: int, packed: tuple[int, ...]) -> SnfResult:  # ones units, then packed
+        s = object.__new__(cls)
+        s._fill(None, packed, 2 if ones or packed else None, ones)
+        return s
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def invariant_factors(self) -> tuple[Poly, ...]:
+        if self._factors is None:  # a GF(2) result from the Smith loop, read the first time
+            self._fill((_GF2_ONE,) * self._ones + tuple([_unpack2(f) for f in self.packed]))
+        return self._factors
 
     def __setattr__(self, name, value):
         raise AttributeError("SnfResult is immutable")
@@ -72,10 +90,6 @@ class SnfResult:
 
     def __len__(self) -> int:
         return len(self.invariant_factors)
-
-    @property
-    def field(self) -> int | None:
-        return self.invariant_factors[0].p if self.invariant_factors else None
 
     def nontrivial(self) -> tuple[Poly, ...]:
         """The invariant factors of degree >= 1."""
@@ -189,7 +203,7 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
     packed into ints on entry and unpacked at the end.  With ``packed`` the
     entries are GF(2) polynomials packed into ints already, bit i the
     coefficient of x^i (R as ``krylov_relations`` returns it at p = 2), and
-    the loop takes them as they are.  The results are Poly either way.
+    the loop takes them as they are.  Over GF(2) the result's Poly are built when read.
 
     Raises ValueError for non-square input, entries over different fields,
     or a singular matrix (a diagonal entry would be zero); R and xI - A are
@@ -248,10 +262,9 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
             d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
     # From a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
-    factors = tuple([unpack(f) for f in d])
     if unpack is _unpack2:  # the GF(2) loop's entries are the packed factors
-        return SnfResult(factors, tuple([f for f in d if f > 1]))
-    return SnfResult(factors)
+        return SnfResult._gf2(d.count(1), tuple([f for f in d if f > 1]))
+    return SnfResult(tuple([unpack(f) for f in d]))
 
 
 def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
@@ -336,9 +349,10 @@ def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
     p R carries signs (R_ii = x^d_i - ...); the factors come out monic.
     """
     ones, R = krylov_relations(A)
-    unit = _GF2_ONE if A.p == 2 else Poly.one(A.p)
     s = smith_normal_form(R, packed=A.p == 2)
-    return SnfResult((unit,) * ones + s.invariant_factors, s.packed)
+    if A.p == 2:
+        return SnfResult._gf2(ones + s._ones, s.packed)
+    return SnfResult((Poly.one(A.p),) * ones + s.invariant_factors)
 
 
 def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
@@ -356,10 +370,7 @@ def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
         raise ValueError(f"field mismatch: GF({field}) vs GF({p})")
     if field != 2:
         return prod(s.invariant_factors, field)
-    acc = 1
-    for f in s.packed:
-        acc = _mul2(acc, f)
-    return _unpack2(acc)
+    return _unpack2(reduce(_mul2, s.packed, 1))
 
 
 def charpoly_oracle(A, p: int) -> Poly:

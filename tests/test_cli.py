@@ -82,6 +82,41 @@ class TestExitCodes:
         assert code == 0
         assert report.results[0]["nullity_oracle"] == "skipped"
 
+    @pytest.mark.parametrize(
+        "argv, size, default",
+        [
+            (["nullity", "--g", "grid:8x8", "--h", "grid:8x8", "--p", "3"], 4096, "skipped"),
+            (["nullity", "--g", "grid:4x8", "--h", "grid:4x8", "--p", "5"], 1024, 7),
+            (["sweep", "paths:32-33", "--p", "3"], 1089, "skipped"),
+            (["nullity", "--g", "grid:8x8", "--h", "grid:8x8"], 4096, 7),
+        ],
+    )
+    def test_default_elimination_cap_is_lower_at_odd_p(
+        self, argv, size, default, capsys, monkeypatch
+    ):
+        # odd-p elimination takes about 3 s at 1024 rows and over 150 s at 4096;
+        # an explicit --max-oracle is honored as given
+        calls = []
+        monkeypatch.setattr(formulas, "oracle_nullity", lambda A, B, **k: calls.append(k) or 7)
+        _, report = cli.run(argv)
+        assert report.results[-1]["operator_size"] == size
+        assert report.results[-1]["nullity_oracle"] == default
+        calls.clear()
+        _, report = cli.run([*argv, "--max-oracle", "4096"])
+        capsys.readouterr()
+        assert report.results[-1]["nullity_oracle"] == 7
+        assert calls[-1] == {"max_dim": 4096}
+
+    def test_charpoly_oracle_cap_does_not_depend_on_p(self, capsys, monkeypatch):
+        # the Berkowitz oracle's cost does not depend on p: 64 vertices (n * n = 4096) run
+        calls = []
+        monkeypatch.setattr(snf, "charpoly_oracle", lambda A, p: calls.append(p) or Poly((1,), p))
+        cli.run(["charpoly", "--g", "grid:8x8", "--p", "3"])
+        _, skipped = cli.run(["charpoly", "--g", "grid:5x13", "--p", "3"])
+        capsys.readouterr()
+        assert calls == [3]
+        assert skipped.results[0]["charpoly_oracle"] == "skipped"
+
     def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "t.csv"
         code, _ = cli.run(["snf", "--g", "path:3", "--csv", str(path)])
@@ -638,9 +673,10 @@ class TestSweep:
         capsys.readouterr()
 
     def test_gf2_rows_pack_no_invariant_factor(self, capsys, monkeypatch):
-        # The Smith form hands each summary its factors packed, so a row packs
-        # only the two characteristic polynomials of its gcd bound; packing
-        # both summaries' factors on every row took 1471 more calls here.
+        # The Smith form hands each summary its factors packed, and the summary
+        # hands its packed characteristic polynomial to the gcd bound: packing
+        # both polynomials on every row took 1000 calls here, and packing both
+        # summaries' factors on every row 1471 more.
         packs = {snf: 0, formulas: 0}
         for module in packs:
             pack_bits = module._pack_bits
@@ -653,7 +689,19 @@ class TestSweep:
         code, report = cli.run(["verify", "conjecture-open", "--seed", "1"])
         capsys.readouterr()
         assert code == 0 and len(report.results) == cli.RANDOM_PAIR_COUNT
-        assert packs == {snf: 0, formulas: 2 * cli.RANDOM_PAIR_COUNT}
+        assert packs == {snf: 0, formulas: 0}
+
+    def test_gf2_verify_pass_builds_no_poly(self, capsys, monkeypatch):
+        # counted on Poly.__init__, as the benchmark tracer counts; a pass built
+        # 3099 before factors and characteristic polynomials stayed packed
+        built = []
+        init = Poly.__init__
+        monkeypatch.setattr(Poly, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for mode in ("open", "closed"):
+            code, report = cli.run(["verify", f"conjecture-{mode}", "--seed", "1"])
+            assert code == 0 and len(report.results) == cli.RANDOM_PAIR_COUNT
+        capsys.readouterr()
+        assert built == []
 
     @pytest.mark.parametrize("mode", ["open", "closed"])
     def test_rows_equal_single_nullity_runs(self, mode, capsys):
@@ -775,11 +823,17 @@ class TestOutputs:
             ("counts --g grid:100x100 --mode closed", "a5e7e729ac940a473d54cacca5bec438f94da650b3a9d7581c9944e0f3e06b04"),
             ("solve --g grid:64x64 --mode closed", "1f0abcb53c2eceb1795b88449c60ecbbaba1cdba3165bf8ef620a2278232c029"),
             ("nullity --g grid:8x8 --h grid:8x8", "f0b8e9dffd6b94673caa33a7b5909558a5a2d48043b7f4b80259c7d6451523a3"),
+            ("snf --g grid:24x24", "6622388757599b10163b50cfecb667399fc848f12116d83a5b62e68c3c4b8d9b"),
+            ("charpoly --g path:65", "aba080896e3c3be7fbd97063840c539f34507c46f3adc4d115abe699229935ff"),
+            ("bound --g petersen --h path:4 --mode closed", "7248d4cc7cde95085d515bd544a3025f1024759649b7084d01244708a7e8b90d"),
+            ("verify example2", "240a018ae930f09080cebd6ff4c6d7d3c4aac34f5691c7dbebe9eebaa38afc69"),
+            ("sweep random:200 --p 3 --mode closed", "9581cc6991fdfaafaa30e097a081130f4b121011b305cf237b3f8df8a92246bf"),
+            ("nullity --g petersen --h path:4 --p 3", "faae900a14d31087681bf86733f3ea6ad263b37909ed0c5d17d45e285d5b8fe3"),
         ],
     )
     def test_json_report_bytes_are_pinned(self, argv, digest, capsys):
         # sha256 of each --json report as column-at-a-time elimination and
-        # per-row factor packing gave it: speedups must not move a byte.
+        # Poly factor summaries gave it: speedups must not move a byte.
         assert cli.run([*argv.split(), "--json"])[0] == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -16,7 +16,7 @@ from lightsout.formulas import (
     partition_min_sum,
 )
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly
+from lightsout.gfpoly import Poly, _pack_bits
 from lightsout.snf import FactorData, SnfResult, invariant_factors
 
 
@@ -252,6 +252,18 @@ class TestGcdLowerBound:
                 assert gcd_lower_bound(ca, cb, "open") == (euclid_gcd(ca, cb).degree or 0)
                 shifted = ca.compose(P("x + 1"))  # x - 1 = x + 1 over GF(2)
                 assert gcd_lower_bound(ca, cb, "closed") == (euclid_gcd(shifted, cb).degree or 0)
+
+    def test_packed_operands_give_the_poly_bound(self):
+        # a product row hands over its characteristic polynomials packed, bit i
+        # the coefficient of x^i, and asks for the open-mode bound
+        rng = random.Random(149)
+        polys = [Poly.zero(2), Poly.one(2)] + [
+            Poly([rng.getrandbits(1) for _ in range(rng.randint(0, 16))], 2) for _ in range(30)
+        ]
+        for ca in polys:
+            for cb in rng.sample(polys, 8):
+                packed = gcd_lower_bound(_pack_bits(ca.coeffs), _pack_bits(cb.coeffs))
+                assert packed == gcd_lower_bound(ca, cb)
 
 
 class TestOracle:

@@ -366,8 +366,8 @@ class TestPackedGF2:
                 assert snf.smith_normal_form(R, packed=True) == expected
 
     def test_gf2_invariant_factors_build_one_poly_per_non_unit_factor(self, monkeypatch):
-        # R's entries stay packed ints and the unit factors share one Poly, so
-        # the only Poly built is each non-unit result
+        # R's entries stay packed ints and the unit factors share one Poly; the
+        # result builds each non-unit Poly on the first read of its factors
         rng = random.Random(131)
         graphs = [path_graph(8), petersen_graph(), build_family("grid:6x6")]
         graphs += [random_graph(rng.randint(1, 12), rng) for _ in range(20)]
@@ -383,7 +383,12 @@ class TestPackedGF2:
             for mode in ("open", "closed"):
                 built.clear()
                 s = snf.invariant_factors(switching_matrix(g, mode))
-                assert built == [2] * len(s.nontrivial()), (g, mode)
+                assert built == [], (g, mode)
+                assert s.field == 2 and built == []
+                factors = s.invariant_factors
+                assert built == [2] * len(s.packed), (g, mode)
+                assert s.invariant_factors is factors and len(s.nontrivial()) == len(s.packed)
+                assert built == [2] * len(s.packed)
 
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
