@@ -18,9 +18,9 @@ fault and exits 3.  An operator larger than --max-oracle is never built:
 its row is marked ``skipped`` in every verb; the default cap is 4096, and 1024
 for elimination at odd p.  charpoly counts n vertices as n * n, so by default
 its O(n^4) oracle runs up to n = 64.  Each distinct factor graph is summarized
-once per invocation (``FactorSummary``, kept packed over GF(2), where no row
-builds a Poly), so a sweep over n x n pairs computes n invariant-factor lists
-in open mode and 2n in closed, not 2n^2: each one Krylov pass and a k x k Smith form.
+once per invocation (``FactorSummary``, in ``gfpoly``'s working form, where no
+GF(2) row builds a Poly), so a sweep over n x n pairs computes n invariant-factor
+lists in open mode and 2n in closed, not 2n^2: each one Krylov pass and a k x k Smith form.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -47,7 +47,7 @@ from typing import Sequence
 from lightsout import formulas, game, gfmat, snf
 from lightsout.game import Graph, GraphParseError
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, _mul2, check_prime, shift_one
+from lightsout.gfpoly import Poly, check_prime, poly_ops, shift_one
 
 SCHEMA_VERSION = 1
 
@@ -190,17 +190,17 @@ def _match(oracle, value) -> str:
 
 
 class FactorSummary:
-    """A factor graph's switching matrix, SnfResult and characteristic polynomial; over
-    GF(2) the polynomial is packed, bit i the coefficient of x^i, and ``poly()`` builds it."""
+    """A factor graph's switching matrix, SnfResult and characteristic polynomial, the
+    last in ``gfpoly.poly_ops(p)``'s working form; ``poly()`` builds its Poly."""
 
     __slots__ = ("matrix", "snf", "charpoly")
 
     def __init__(self, M: PrimeFieldMatrix, s: snf.SnfResult, p: int):
-        self.matrix, self.snf = M, s
-        self.charpoly = reduce(_mul2, s.packed, 1) if p == 2 else snf.charpoly_from_snf(s, p)
+        ops = poly_ops(p)
+        self.matrix, self.snf, self.charpoly = M, s, reduce(ops.mul, s.factors, ops.one)
 
     def poly(self) -> Poly:
-        return snf._unpack2(self.charpoly) if type(self.charpoly) is int else self.charpoly
+        return poly_ops(self.matrix.p).to_poly(self.charpoly)
 
 
 def _check_cap(g: Graph, p: int) -> None:
@@ -248,7 +248,7 @@ def _product_row(
     mode.  Closed mode shifts the first matrix to A + I; over GF(2) that is
     exactly the closed-switching matrix of the product graph.  The bound is
     deg gcd(c_A, c_B) of the two matrices compared, with both characteristic
-    polynomials read off their invariant factors, packed over GF(2).  With
+    polynomials read off their invariant factors, in the working form.  With
     ``charpolys`` the row also carries the open-mode polynomials of both
     factors: c_A(x) = c_{A+I}(x + 1) over every GF(p).
     """
@@ -538,8 +538,8 @@ def _verify_example_star_path(args) -> Report:
     paths = {}  # m -> (summary, GF(2) nullity, multiplicity of x in c_path)
     for m in range(1, 10):
         f = _factor(memo, game.path_graph(m), "open", 2)
-        c = f.charpoly  # packed: the multiplicity of x is the count of trailing zero bits
-        paths[m] = (f, gfmat.rank_nullity(f.matrix).nullity, (c & -c).bit_length() - 1)
+        x_mult = next(i for i, c in enumerate(f.poly().coeffs) if c)
+        paths[m] = (f, gfmat.rank_nullity(f.matrix).nullity, x_mult)
     for n in (3, 5, 7, 9):
         star = _factor(memo, game.star_graph(n), "open", 2)
         for m, (path, nu_nullity, nu_mult) in paths.items():

@@ -14,9 +14,9 @@ from typing import Sequence
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Poly, _gcd2, _pack_bits, poly_gcd
-# charpoly_oracle is unused here, but the benchmark tracer and
-# test_example2_never_calls_the_charpoly_oracle bind formulas.charpoly_oracle.
+# poly_gcd and charpoly_oracle are unused here, but the benchmark tracer binds both
+# here, and test_example2_never_calls_the_charpoly_oracle binds charpoly_oracle.
+from lightsout.gfpoly import Poly, poly_gcd, poly_ops  # noqa: F401
 from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
 
 #: Largest operator size (rows = m*n) the elimination oracle accepts, and the CLI's
@@ -59,17 +59,17 @@ def nullity_from_factor_data(fa: FactorData, fb: FactorData) -> int:
 def nullity_snf_product(sa: SnfResult, sb: SnfResult) -> int:
     """Double sum of deg gcd(s_i, t_j) over the two invariant factor lists.
 
-    Only the factors of degree >= 1 contribute.  Over GF(2) every gcd is
-    taken on the results' ``packed`` factors, which the Smith form hands
-    over already packed, and its degree is the bit length - 1; nothing is
-    packed per call and no gcd Poly is built.
+    Only the factors of degree >= 1 contribute: the results' ``factors``,
+    in the field's working form, where each gcd is taken; its degree is its
+    size - 1, so no result's Poly and no gcd Poly is built.
     """
-    pa, pb = sa.field, sb.field
-    if pa is not None and pb is not None and pa != pb:
-        raise ValueError(f"field mismatch: GF({pa}) vs GF({pb})")
-    if pa == 2:
-        return sum(_gcd2(si, tj).bit_length() - 1 for si in sa.packed for tj in sb.packed)
-    return sum(poly_gcd(si, tj).degree for si in sa.nontrivial() for tj in sb.nontrivial())
+    p = sa.field or sb.field
+    if sb.field not in (None, p):
+        raise ValueError(f"field mismatch: GF({p}) vs GF({sb.field})")
+    if p is None:  # two empty lists
+        return 0
+    ops = poly_ops(p)
+    return sum(ops.size(ops.gcd(si, tj)) - 1 for si in sa.factors for tj in sb.factors)
 
 
 def nullity_snf_self(sa: SnfResult) -> int:
@@ -118,19 +118,18 @@ def gcd_lower_bound(ca: Poly | int, cb: Poly | int, mode: str = "open") -> int:
     A lower bound for the nullity of the product operator built from A and
     B (open) or from A + I and B (closed), given c_A and c_B.  The closed
     form uses c_{A+I}(x) = c_A(x - 1), which holds over every GF(p).  In
-    open mode over GF(2) both may come packed into ints, bit i the
-    coefficient of x^i, as a product row holds them.
+    open mode both may also come in ``gfpoly.poly_ops``' working form, as a
+    product row holds them.
     """
     check_mode(mode)
-    if type(ca) is not int or mode != "open":
+    ops = poly_ops(ca.p if isinstance(ca, Poly) else 2)  # GF(2)'s working form is an int
+    if isinstance(ca, Poly) or mode != "open":
         if ca.p != cb.p:
             raise ValueError(f"field mismatch: GF({ca.p}) vs GF({cb.p})")
         if mode == "closed":
             ca = ca.compose(Poly((-1, 1), ca.p))
-        if ca.p != 2:
-            return poly_gcd(ca, cb).degree or 0
-        ca, cb = _pack_bits(ca.coeffs), _pack_bits(cb.coeffs)
-    return max(_gcd2(ca, cb).bit_length() - 1, 0)  # gcd(0, 0) = 0 has bit length 0
+        ca, cb = ops.from_poly(ca), ops.from_poly(cb)
+    return max(ops.size(ops.gcd(ca, cb)) - 1, 0)  # gcd(0, 0) = 0 has size 0
 
 
 def oracle_nullity(

@@ -8,12 +8,12 @@ The canonical text form writes terms in descending degree with ``^`` for
 powers and explicit coefficients where they differ from 1, e.g. ``x^3 + x + 1``
 or ``2*x^2 + 1``.  :meth:`Poly.parse` and ``str()`` round-trip exactly.
 
-Over GF(2) a polynomial or a ``gfmat`` row also packs into an int, bit i
-holding entry i.  ``poly_gcd``, ``prod``, ``snf`` and the gcd degrees in
-``formulas`` run on its shift-and-XOR ops: ``snf`` keeps a relation
-matrix packed from the Krylov pass to the Smith form, ``poly_gcd`` and
-``prod`` build a Poly only for the value they return, and ``formulas``
-reads a gcd's degree off its bit length without building a Poly.
+Each field has one working form for polynomials on the hot path, and
+:func:`poly_ops` returns its operations.  Over GF(2) it is an int, bit i
+holding the coefficient of x^i (the format of a ``gfmat`` row too), run on
+shift-and-XOR; at odd p it is the Poly.  ``snf``'s Smith form, its results,
+the charpoly product and the gcd degrees in ``formulas`` all run on the
+working form through that record, and build a Poly only where one is read.
 
 Arithmetic operands are ``Poly`` over the same field: any other type raises
 TypeError and a different p raises ValueError.  :func:`factor` takes degree
@@ -24,7 +24,9 @@ it raises ValueError instead of running for hours.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -315,11 +317,49 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.p != b.p:
         raise ValueError(f"field mismatch: GF({a.p}) vs GF({b.p})")
     if a.p == 2:
-        g = _gcd2(_pack_bits(a.coeffs), _pack_bits(b.coeffs))
-        return Poly(_unpack_bits(g, g.bit_length()), 2)
+        return _to_poly2(_gcd2(_pack_bits(a.coeffs), _pack_bits(b.coeffs)))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+#: A field's working form of polynomials and its operations.  size counts the
+#: coefficients (degree + 1, 0 for zero); divmod, sub, mul, gcd (monic) and
+#: monic act on the working form, whose 1 is one; to_poly builds the Poly of
+#: a working-form value and from_poly takes a Poly of the field in.
+PolyOps = namedtuple("PolyOps", "size divmod sub mul gcd monic one to_poly from_poly")
+
+#: The GF(2) unit, shared by every GF(2) to_poly(1) (Poly is immutable).
+_GF2_ONE = Poly((1,), 2)
+
+
+def _to_poly2(f: int) -> Poly:
+    return _GF2_ONE if f == 1 else Poly(_unpack_bits(f, f.bit_length()), 2)
+
+
+def _identity(f):
+    return f
+
+
+#: Every nonzero GF(2) polynomial is monic already.
+_GF2_OPS = PolyOps(
+    int.bit_length, _divmod2, operator.xor, _mul2, _gcd2, _identity, 1, _to_poly2,
+    lambda f: _pack_bits(f.coeffs),
+)
+
+
+@lru_cache(maxsize=None)
+def poly_ops(p: int) -> PolyOps:
+    """The working form of GF(p)[x]: packed ints at p = 2, Poly at odd p.
+
+    Raises ValueError for a p that ``check_prime`` rejects.
+    """
+    if check_prime(p) == 2:
+        return _GF2_OPS
+    return PolyOps(
+        lambda f: len(f.coeffs), divmod, operator.sub, operator.mul, poly_gcd, Poly.monic,
+        Poly.one(p), _identity, _identity,
+    )
 
 
 def shift_one(f: Poly) -> Poly:

@@ -6,19 +6,16 @@ v -> vA, picks k cyclic generators among e_1, e_2, ... and returns their
 k x k relation matrix R (Keller-Gehrig, TCS 36, 1985; Storjohann, ISSAC
 1998), in O(n^2) row operations on packed ints at p = 2 and residue lists
 at odd p.  The invariant factors of xI - A are n - k ones followed by those
-of R: k is mostly 1-4 for random graphs and m on an m x m grid.  At p = 2
-R's entries are ``gfpoly``'s packed polynomials, sliced out of the packed
-tags; at odd p they are Poly and carry the signs of the reduction, and the
-factors come out monic.
+of R: k is mostly 1-4 for random graphs and m on an m x m grid.  R's
+entries are in ``gfpoly``'s working form: packed ints sliced out of the
+packed tags at p = 2, Poly carrying the signs of the reduction at odd p.
 
-``smith_normal_form`` takes any square list of Poly rows, or with
-``packed`` rows of packed GF(2) polynomials, and returns Poly invariant
-factors.  It diagonalizes by Euclidean division, then turns the diagonal
-into the ordered invariant factors s_1 | s_2 | ... | s_m, each monic, by
-gcd/lcm exchanges.  It is one loop at every p, run on a table of field
-operations: on packed polynomials over GF(2) and on Poly at odd p.  So at
-p = 2 ``invariant_factors`` builds no Poly: its result builds one per non-unit
-factor on first read.  ``char_matrix`` returns the rows of xI - A, the
+``smith_normal_form`` diagonalizes by Euclidean division, then turns the
+diagonal into the ordered invariant factors s_1 | s_2 | ... | s_m by gcd/lcm
+exchanges, in one loop at every p on ``gfpoly.poly_ops``: the field's working
+form and its operations.  Its ``SnfResult`` keeps the non-unit factors in that
+form, for the charpoly product and ``formulas``' gcd degrees, and builds their
+Poly on first read.  ``char_matrix`` returns the rows of xI - A, the
 tests' reference route.  Two independent routes to the characteristic
 polynomial are provided: the product of the invariant factors, and a
 division-free (Berkowitz) expansion over the integers reduced mod p.  They
@@ -32,36 +29,31 @@ from functools import reduce
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix
-from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_gcd, poly_key, prod
-from lightsout.gfpoly import _divmod2, _gcd2, _mul2, _pack_bits, _unpack_bits
+from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_key, poly_ops
 
 
 class SnfResult:
     """Ordered invariant factors of a polynomial matrix: s_i divides s_{i+1}.
 
-    Over GF(2) (or with no factors) ``packed`` holds the factors of degree
-    >= 1 as packed ints, bit i the coefficient of x^i, which every gcd of
-    ``formulas.nullity_snf_product`` reads and ``charpoly_from_snf``
-    multiplies.  The Smith form hands them over from its loop, and the Poly
-    ``invariant_factors`` are built on first read (``field`` reads none);
-    given as Poly, they are packed once, on construction.  At odd p ``packed`` is
-    None.  Immutable; ``==``, ``hash`` and ``repr`` read the factors only.
+    ``field`` is p (None with no factors), ``ones`` counts the unit factors
+    and ``factors`` holds the others, in order and monic, in
+    ``gfpoly.poly_ops(field)``'s working form.  A Smith form result builds its
+    Poly ``invariant_factors`` on first read (``len`` reads none); one built
+    from Poly keeps them.  Immutable; ``==``, ``hash`` and ``repr`` read the
+    Poly factors only.
     """
 
-    __slots__ = ("_factors", "packed", "field", "_ones")
+    __slots__ = ("field", "ones", "factors", "_polys")
 
-    def __init__(
-        self, invariant_factors: tuple[Poly, ...], packed: tuple[int, ...] | None = None
-    ):
+    def __init__(self, invariant_factors: tuple[Poly, ...]):
         field = invariant_factors[0].p if invariant_factors else None
-        if packed is None and field in (None, 2):
-            packed = tuple([_pack_bits(f.coeffs) for f in invariant_factors if f.degree])
-        self._fill(invariant_factors, packed, field)
+        factors = tuple([poly_ops(field).from_poly(f) for f in invariant_factors if f.degree])
+        self._fill(field, len(invariant_factors) - len(factors), factors, invariant_factors)
 
     @classmethod
-    def _gf2(cls, ones: int, packed: tuple[int, ...]) -> SnfResult:  # ones units, then packed
+    def _of(cls, field: int | None, ones: int, factors: tuple) -> SnfResult:
         s = object.__new__(cls)
-        s._fill(None, packed, 2 if ones or packed else None, ones)
+        s._fill(field, ones, factors, None if field else ())
         return s
 
     def _fill(self, *values) -> None:
@@ -70,9 +62,11 @@ class SnfResult:
 
     @property
     def invariant_factors(self) -> tuple[Poly, ...]:
-        if self._factors is None:  # a GF(2) result from the Smith loop, read the first time
-            self._fill((_GF2_ONE,) * self._ones + tuple([_unpack2(f) for f in self.packed]))
-        return self._factors
+        if self._polys is None:  # a result of the Smith form, read the first time
+            ops = poly_ops(self.field)
+            polys = (ops.to_poly(ops.one),) * self.ones + tuple(map(ops.to_poly, self.factors))
+            object.__setattr__(self, "_polys", polys)
+        return self._polys
 
     def __setattr__(self, name, value):
         raise AttributeError("SnfResult is immutable")
@@ -89,7 +83,7 @@ class SnfResult:
         return f"SnfResult(invariant_factors={self.invariant_factors!r})"
 
     def __len__(self) -> int:
-        return len(self.invariant_factors)
+        return self.ones + len(self.factors)
 
     def nontrivial(self) -> tuple[Poly, ...]:
         """The invariant factors of degree >= 1."""
@@ -126,10 +120,6 @@ class FactorData:
         )
 
 
-#: The GF(2) unit, shared by every unit invariant factor (Poly is immutable).
-_GF2_ONE = Poly((1,), 2)
-
-
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
     """The rows of the characteristic matrix xI - A over GF(p)[x].
 
@@ -147,26 +137,6 @@ def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
         [diag[c] if i == j else const[c] for j, c in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-
-
-def _poly_size(f: Poly) -> int:
-    return len(f.coeffs)
-
-
-def _pack2(f: Poly) -> int:
-    return _pack_bits(f.coeffs)
-
-
-def _unpack2(f: int) -> Poly:
-    return _GF2_ONE if f == 1 else Poly(_unpack_bits(f, f.bit_length()), 2)
-
-
-#: (size, divmod, sub, mul, gcd, pack, unpack) of the Smith form loop; size is
-#: the number of coefficients, degree + 1, and 0 for the zero polynomial.  pack
-#: takes a Poly entry into the loop and unpack takes a result out of it, monic;
-#: every nonzero GF(2) polynomial is monic already, and its units share one Poly.
-_POLY_OPS = (_poly_size, divmod, operator.sub, operator.mul, poly_gcd, lambda f: f, Poly.monic)
-_GF2_OPS = (int.bit_length, _divmod2, operator.xor, _mul2, _gcd2, _pack2, _unpack2)
 
 
 def _field(rows: Sequence[Sequence[Poly]]) -> int | None:
@@ -196,14 +166,14 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
     becomes the next pivot, so this terminates.  A unit pivot divides
     everything with remainder 0, so one pass clears it.  Phase 2 fixes the
     divisibility chain on the diagonal alone, since diag(a, b) is
-    equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  Entries are made
-    monic at the end.
+    equivalent to diag(gcd(a, b), lcm(a, b)) over a PID.  The non-unit
+    factors are made monic at the end.
 
-    The loop runs on the field's op table: over GF(2) the entries are
-    packed into ints on entry and unpacked at the end.  With ``packed`` the
-    entries are GF(2) polynomials packed into ints already, bit i the
-    coefficient of x^i (R as ``krylov_relations`` returns it at p = 2), and
-    the loop takes them as they are.  Over GF(2) the result's Poly are built when read.
+    The loop runs on ``gfpoly.poly_ops``' working form of the field, and
+    the result keeps its non-unit factors in it.  With ``packed`` the
+    entries are GF(2) polynomials in that form already, packed into ints
+    (R as ``krylov_relations`` returns it at p = 2), and are taken as they
+    are; otherwise they are Poly, taken into the working form.
 
     Raises ValueError for non-square input, entries over different fields,
     or a singular matrix (a diagonal entry would be zero); R and xI - A are
@@ -213,12 +183,9 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("Smith normal form is implemented for square matrices")
-    if packed:
-        size, divmod_, sub, mul, gcd, _, unpack = _GF2_OPS
-        a = [list(row) for row in M]
-    else:
-        size, divmod_, sub, mul, gcd, pack, unpack = _GF2_OPS if _field(M) == 2 else _POLY_OPS
-        a = [list(map(pack, row)) for row in M]
+    field = 2 if packed and n else _field(M)
+    size, divmod_, sub, mul, gcd, monic, _, _, from_poly = poly_ops(field or 2)  # n = 0: none run
+    a = [list(row if packed else map(from_poly, row)) for row in M]
     for k in range(n):  # phase 1: diagonalize
         while True:
             best = None
@@ -262,9 +229,8 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
             d[i], d[j] = g, divmod_(mul(d[i], d[j]), g)[0]
     # From a list: tuple() of a generator allocates a 10-slot tuple and resizes
     # it, which parks memory on the interpreter's tuple free lists every call
-    if unpack is _unpack2:  # the GF(2) loop's entries are the packed factors
-        return SnfResult._gf2(d.count(1), tuple([f for f in d if f > 1]))
-    return SnfResult(tuple([unpack(f) for f in d]))
+    factors = tuple([monic(f) for f in d if size(f) > 1])
+    return SnfResult._of(field, n - len(factors), factors)
 
 
 def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
@@ -350,27 +316,24 @@ def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:
     """
     ones, R = krylov_relations(A)
     s = smith_normal_form(R, packed=A.p == 2)
-    if A.p == 2:
-        return SnfResult._gf2(ones + s._ones, s.packed)
-    return SnfResult((Poly.one(A.p),) * ones + s.invariant_factors)
+    return SnfResult._of(s.field, ones + s.ones, s.factors)
 
 
 def charpoly_from_snf(s: SnfResult, p: int | None = None) -> Poly:
     """Characteristic polynomial as the product of the invariant factors.
 
     The factors carry their field; ``p`` names it for an empty list (a
-    0-vertex graph), whose product is 1.  Over GF(2) the product runs on
-    the result's ``packed`` factors and builds one Poly.  Raises ValueError
-    when ``p`` names another field than the factors'.
+    0-vertex graph), whose product is 1.  The product runs on the result's
+    non-unit ``factors`` in the field's working form and builds one Poly.
+    Raises ValueError when ``p`` names another field than the factors'.
     """
     field = s.field or p
     if field is None:
         raise ValueError("empty invariant factor list has no field; pass p")
     if p is not None and p != field:
         raise ValueError(f"field mismatch: GF({field}) vs GF({p})")
-    if field != 2:
-        return prod(s.invariant_factors, field)
-    return _unpack2(reduce(_mul2, s.packed, 1))
+    ops = poly_ops(field)
+    return ops.to_poly(reduce(ops.mul, s.factors, ops.one))
 
 
 def charpoly_oracle(A, p: int) -> Poly:

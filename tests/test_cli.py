@@ -16,7 +16,7 @@ import pytest
 from helpers import product_solve_two_eliminations
 
 import lightsout
-from lightsout import _gf2kernel, cli, formulas, game, gfmat, snf
+from lightsout import _gf2kernel, cli, formulas, game, gfmat, gfpoly, snf
 from lightsout.gfpoly import Poly
 
 
@@ -673,23 +673,18 @@ class TestSweep:
         capsys.readouterr()
 
     def test_gf2_rows_pack_no_invariant_factor(self, capsys, monkeypatch):
-        # The Smith form hands each summary its factors packed, and the summary
-        # hands its packed characteristic polynomial to the gcd bound: packing
-        # both polynomials on every row took 1000 calls here, and packing both
-        # summaries' factors on every row 1471 more.
-        packs = {snf: 0, formulas: 0}
-        for module in packs:
-            pack_bits = module._pack_bits
-
-            def counted(values, module=module, pack_bits=pack_bits):
-                packs[module] += 1
-                return pack_bits(values)
-
-            monkeypatch.setattr(module, "_pack_bits", counted)
+        # The Smith form hands each summary its factors in GF(2)'s working form,
+        # and the summary hands its working-form characteristic polynomial to
+        # the gcd bound: packing both polynomials on every row took 1000 calls
+        # here, and packing both summaries' factors on every row 1471 more.
+        # Every pack of a Poly goes through gfpoly's one _pack_bits binding.
+        packs = []
+        pack_bits = gfpoly._pack_bits
+        monkeypatch.setattr(gfpoly, "_pack_bits", lambda v: packs.append(v) or pack_bits(v))
         code, report = cli.run(["verify", "conjecture-open", "--seed", "1"])
         capsys.readouterr()
         assert code == 0 and len(report.results) == cli.RANDOM_PAIR_COUNT
-        assert packs == {snf: 0, formulas: 0}
+        assert packs == []
 
     def test_gf2_verify_pass_builds_no_poly(self, capsys, monkeypatch):
         # counted on Poly.__init__, as the benchmark tracer counts; a pass built
@@ -829,6 +824,9 @@ class TestOutputs:
             ("verify example2", "240a018ae930f09080cebd6ff4c6d7d3c4aac34f5691c7dbebe9eebaa38afc69"),
             ("sweep random:200 --p 3 --mode closed", "9581cc6991fdfaafaa30e097a081130f4b121011b305cf237b3f8df8a92246bf"),
             ("nullity --g petersen --h path:4 --p 3", "faae900a14d31087681bf86733f3ea6ad263b37909ed0c5d17d45e285d5b8fe3"),
+            ("charpoly --g grid:6x6 --p 5", "1af46e962bf8ed30ff32a6556e5dd46611b3ea9ced6c17971d5ecf2142200f86"),
+            ("bound --g petersen --h cycle:5 --p 5 --mode closed", "01acf7de87aaf4b6c86062deb07a68db09a87dbc11cfbc39d4b602baa39709a2"),
+            ("snf --g grid:6x6 --p 3", "c266ba6e442b5f0bf979708ebb9eddbfe33612878d71b81c2edf18f568234116"),
         ],
     )
     def test_json_report_bytes_are_pinned(self, argv, digest, capsys):

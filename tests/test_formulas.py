@@ -103,9 +103,10 @@ class TestSnfProductNullity:
             nullity_snf_product(s2, s3)
 
     def test_gf2_packed_gcd_degrees_match_euclid(self):
-        # over GF(2) the gcds run on packed ints; the reference takes each one
-        # on Poly by a Euclid loop.  Lists of arbitrary polynomials (units and
-        # zeros included, which add nothing) as well as invariant factors
+        # the gcds run on each field's working form (packed ints over GF(2),
+        # Poly at odd p); the reference takes each one on Poly by a Euclid
+        # loop.  Lists of arbitrary polynomials (units and zeros included,
+        # which add nothing) as well as invariant factors
         rng = random.Random(137)
 
         def reference(sa, sb):
@@ -115,19 +116,20 @@ class TestSnfProductNullity:
                 for tj in sb.invariant_factors if tj.degree
             )
 
-        def random_list():
+        def random_list(p):
             return SnfResult(tuple(
-                Poly([rng.getrandbits(1) for _ in range(rng.randint(0, 13))], 2)
+                Poly([rng.randrange(p) for _ in range(rng.randint(0, 13))], p)
                 for _ in range(rng.randint(0, 6))
             ))
 
-        for _ in range(60):
-            sa, sb = random_list(), random_list()
-            assert nullity_snf_product(sa, sb) == reference(sa, sb)
-            g = game.random_graph(rng.randint(1, 9), rng)
-            h = game.random_graph(rng.randint(1, 9), rng)
-            sa, sb = invariant_factors(adjacency(g)), invariant_factors(adjacency(h))
-            assert nullity_snf_product(sa, sb) == reference(sa, sb)
+        for p in (2, 3, 5):
+            for _ in range(60):
+                sa, sb = random_list(p), random_list(p)
+                assert nullity_snf_product(sa, sb) == reference(sa, sb)
+                g = game.random_graph(rng.randint(1, 9), rng)
+                h = game.random_graph(rng.randint(1, 9), rng)
+                sa, sb = invariant_factors(adjacency(g, p)), invariant_factors(adjacency(h, p))
+                assert nullity_snf_product(sa, sb) == reference(sa, sb)
 
     def test_agrees_with_factor_data_route(self):
         rng = random.Random(89)
@@ -242,16 +244,19 @@ class TestGcdLowerBound:
             gcd_lower_bound(P("x"), P("x"), "diagonal")
 
     def test_gf2_packed_gcd_degree_matches_euclid(self):
-        # zero operands included: gcd(0, 0) = 0 counts as degree 0
+        # zero operands included: gcd(0, 0) = 0 counts as degree 0; at odd p
+        # the gcds run on Poly, the working form there
         rng = random.Random(139)
-        polys = [Poly.zero(2), Poly.one(2)] + [
-            Poly([rng.getrandbits(1) for _ in range(rng.randint(0, 16))], 2) for _ in range(40)
-        ]
-        for ca in polys:
-            for cb in rng.sample(polys, 8) + [Poly.zero(2)]:
-                assert gcd_lower_bound(ca, cb, "open") == (euclid_gcd(ca, cb).degree or 0)
-                shifted = ca.compose(P("x + 1"))  # x - 1 = x + 1 over GF(2)
-                assert gcd_lower_bound(ca, cb, "closed") == (euclid_gcd(shifted, cb).degree or 0)
+        for p in (2, 3, 5):
+            polys = [Poly.zero(p), Poly.one(p)] + [
+                Poly([rng.randrange(p) for _ in range(rng.randint(0, 16))], p) for _ in range(40)
+            ]
+            for ca in polys:
+                for cb in rng.sample(polys, 8) + [Poly.zero(p)]:
+                    assert gcd_lower_bound(ca, cb, "open") == (euclid_gcd(ca, cb).degree or 0)
+                    shifted = ca.compose(Poly((-1, 1), p))
+                    expected = euclid_gcd(shifted, cb).degree or 0
+                    assert gcd_lower_bound(ca, cb, "closed") == expected
 
     def test_packed_operands_give_the_poly_bound(self):
         # a product row hands over its characteristic polynomials packed, bit i

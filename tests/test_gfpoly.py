@@ -1,10 +1,13 @@
 """Polynomial arithmetic over GF(p): division, gcd, shifts, factorization."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import all_monic_polys
+from lightsout import gfpoly
 from lightsout.gfpoly import (
     MAX_FACTOR_DEGREE,
     Factorization,
@@ -13,6 +16,7 @@ from lightsout.gfpoly import (
     factor,
     monic_irreducibles,
     poly_gcd,
+    poly_ops,
     prod,
     shift_one,
 )
@@ -237,6 +241,58 @@ class TestProd:
             built.clear()
             prod(factors, 2)
             assert built == [2]
+
+
+class TestWorkingForm:
+    def test_ops_match_poly_arithmetic(self):
+        rng = random.Random(151)
+        for p in (2, 3, 5):
+            ops = poly_ops(p)
+            assert ops is poly_ops(p) and ops.to_poly(ops.one) == Poly.one(p)
+            polys = [Poly.zero(p), Poly.one(p)] + [
+                Poly([rng.randrange(p) for _ in range(rng.randint(1, 12))], p) for _ in range(30)
+            ]
+            for f in polys:
+                w = ops.from_poly(f)
+                assert ops.to_poly(w) == f and ops.size(w) == len(f.coeffs)
+                if f:
+                    assert ops.to_poly(ops.monic(w)) == f.monic()
+                for g in rng.sample(polys, 6):
+                    v = ops.from_poly(g)
+                    assert ops.to_poly(ops.mul(w, v)) == f * g
+                    assert ops.to_poly(ops.sub(w, v)) == f - g
+                    assert ops.to_poly(ops.gcd(w, v)) == poly_gcd(f, g)
+                    if g:
+                        q, r = ops.divmod(w, v)
+                        assert (ops.to_poly(q), ops.to_poly(r)) == divmod(f, g)
+        assert type(poly_ops(2).one) is int and type(poly_ops(3).one) is Poly
+        with pytest.raises(ValueError):
+            poly_ops(4)
+
+    def test_cli_formulas_and_snf_reach_no_private_name_of_another_module(self):
+        # only gfpoly knows how a field's working form is stored: the modules
+        # above it import no _-prefixed name and read no module's _-attribute
+        src = Path(gfpoly.__file__).parent
+        for name in ("cli.py", "formulas.py", "snf.py"):
+            tree = ast.parse((src / name).read_text(encoding="utf-8"))
+            modules, private = set(), []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lightsout"):
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+                    if node.module == "lightsout":
+                        modules.update(a.asname or a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    modules.update(a.asname for a in node.names if a.name.startswith("lightsout."))
+            assert private == [], name
+            reads = [
+                f"{node.value.id}.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ]
+            assert reads == [], name
 
 
 class TestShiftOne:

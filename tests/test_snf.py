@@ -385,10 +385,11 @@ class TestPackedGF2:
                 s = snf.invariant_factors(switching_matrix(g, mode))
                 assert built == [], (g, mode)
                 assert s.field == 2 and built == []
+                assert len(s) == s.ones + len(s.factors) and built == []
                 factors = s.invariant_factors
-                assert built == [2] * len(s.packed), (g, mode)
-                assert s.invariant_factors is factors and len(s.nontrivial()) == len(s.packed)
-                assert built == [2] * len(s.packed)
+                assert built == [2] * len(s.factors), (g, mode)
+                assert s.invariant_factors is factors and len(s.nontrivial()) == len(s.factors)
+                assert built == [2] * len(s.factors)
 
     def test_48_vertex_graph_matches_reference(self):
         A = switching_matrix(random_graph(48, random.Random(97)))
@@ -419,25 +420,30 @@ class TestPackedGF2:
 
 class TestPackedFactors:
     def test_a_result_built_from_polys_packs_its_nontrivial_factors(self):
+        # the non-unit factors in the field's working form: packed ints at
+        # p = 2, the Poly themselves at odd p
         s = snf.SnfResult((Poly.one(2), P("x"), P("x^3 + x + 1"), Poly.zero(2)))
-        assert s.packed == (0b10, 0b1011)
-        assert s == snf.SnfResult(s.invariant_factors, ())
-        assert snf.SnfResult(()).packed == ()
-        assert snf.SnfResult((P("x + 2", 3),)).packed is None
+        assert (s.field, s.ones, s.factors) == (2, 2, (0b10, 0b1011))
+        empty = snf.SnfResult(())
+        assert (empty.field, empty.ones, empty.factors, len(empty)) == (None, 0, (), 0)
+        odd = snf.SnfResult((Poly.one(3), P("x + 2", 3)))
+        assert (odd.field, odd.ones, odd.factors) == (3, 1, (P("x + 2", 3),))
 
     def test_smith_form_hands_over_the_packed_factors_unpacked_again(self, monkeypatch):
         rng = random.Random(61)
         packs = []
-        pack_bits = snf._pack_bits
-        monkeypatch.setattr(snf, "_pack_bits", lambda values: packs.append(values) or pack_bits(values))
+        pack_bits = gfpoly._pack_bits
+        monkeypatch.setattr(gfpoly, "_pack_bits", lambda values: packs.append(values) or pack_bits(values))
         for _ in range(40):
             A = switching_matrix(random_graph(rng.randint(1, 12), rng))
             s = snf.invariant_factors(A)
-            assert s.packed == snf.SnfResult(s.invariant_factors).packed
+            assert s.factors == snf.SnfResult(s.invariant_factors).factors
             packs.clear()
-            assert snf.invariant_factors(A).packed == s.packed
+            assert snf.invariant_factors(A).factors == s.factors
             assert packs == []
-            assert snf.invariant_factors(PrimeFieldMatrix(A.to_lists(), 3)).packed is None
+            A3 = PrimeFieldMatrix(A.to_lists(), 3)  # at odd p the working form is the monic Poly
+            reference = smith_normal_form_on_polys(snf.char_matrix(A3)).nontrivial()
+            assert snf.invariant_factors(A3).factors == reference and packs == []
 
 
 class TestKrylovRoute:
@@ -543,11 +549,8 @@ class TestCharpolyRoutes:
             for _ in range(30)
         ]
         packs = []
-        for module in (snf, gfpoly):
-            pack_bits = module._pack_bits
-            monkeypatch.setattr(
-                module, "_pack_bits", lambda v, f=pack_bits: packs.append(v) or f(v)
-            )
+        pack_bits = gfpoly._pack_bits
+        monkeypatch.setattr(gfpoly, "_pack_bits", lambda v: packs.append(v) or pack_bits(v))
         got = [snf.charpoly_from_snf(s) for s in results]
         got.append(snf.charpoly_from_snf(snf.SnfResult(()), 2))
         assert packs == []
@@ -609,10 +612,14 @@ class TestFactorData:
 
 class TestRecords:
     def test_snf_result_equality_and_hash_ignore_packed(self):
+        # a Smith form result, built from the packed loop, against one built
+        # from Poly: both compare and hash by their Poly factors
         factors = (Poly.one(2), P("x"), P("x^2 + x"))
         s = snf.SnfResult(factors)
-        other = snf.SnfResult(invariant_factors=factors, packed=())
-        assert s.packed != other.packed
+        other = snf.smith_normal_form(
+            [[P("x^2 + x"), P("0"), P("0")], [P("x"), P("x"), P("0")], [P("0"), P("0"), P("1")]]
+        )
+        assert other.factors == s.factors == (0b10, 0b110)
         assert s == other and hash(s) == hash(other)
         assert s != snf.SnfResult(factors[:2])
         assert len({s, other}) == 1
@@ -625,10 +632,10 @@ class TestRecords:
 
     def test_snf_result_is_immutable(self):
         s = snf.SnfResult((P("x"),))
-        for name, value in (("invariant_factors", ()), ("packed", (0b11,))):
+        for name, value in (("invariant_factors", ()), ("factors", (0b11,)), ("ones", 1)):
             with pytest.raises(AttributeError):
                 setattr(s, name, value)
-        assert s.packed == (0b10,)
+        assert s.factors == (0b10,) and s.ones == 0
 
     def test_factor_data_fields_and_equality(self):
         fd = snf.factor_data(snf.invariant_factors(switching_matrix(star_graph(5))))
