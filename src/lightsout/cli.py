@@ -51,11 +51,11 @@ from lightsout.gfpoly import Poly, check_prime, poly_ops, shift_one
 
 SCHEMA_VERSION = 1
 
-#: Largest factor graph, in vertices, that ``_factor`` summarizes.  The
-#: Krylov pass makes O(n^2) row operations on n-entry rows: at p = 2 a
-#: 4096-vertex grid (grid:64x64) takes about 2 s and a 10000-vertex one over
-#: 40 s.  Odd p reduces residue lists, about 100x slower per row, so its cap
-#: is lower: grid:32x32 takes about 20 s at p = 3.
+#: Largest factor graph, in vertices, that ``_factor`` summarizes once it is
+#: built.  It prices the Krylov pass, O(n^2) row operations: at p = 2 about 2 s
+#: on grid:64x64, at odd p (residue lists) about 20 s on grid:32x32 at p = 3.
+#: It does not bound k, the size of R's Smith form: grids have k = m, but
+#: stars and complete graphs k = n - 1, and star:800 takes about 20 s.
 FORMULA_VERTEX_CAP = 4096
 FORMULA_VERTEX_CAP_ODD_P = 1024
 
@@ -220,7 +220,7 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
     memo is keyed by (Graph, mode, p) and lives for one handler call, so
     each distinct factor of a sweep is summarized once per invocation.
     Raises OverCapError for a graph over FORMULA_VERTEX_CAP vertices
-    (FORMULA_VERTEX_CAP_ODD_P at odd p) before any work on it.
+    (FORMULA_VERTEX_CAP_ODD_P at odd p) before its switching matrix is built.
     """
     key = (g, mode, p)
     if key not in memo:
@@ -608,7 +608,7 @@ def _nonnegative_int(text: str) -> int:
 
 #: Options shared by several verbs; each verb takes only the ones it reads.
 _OPTIONS = {
-    "--mode": dict(choices=("open", "closed"), default="open"),
+    "--mode": dict(choices=game.MODES, default="open"),
     "--p": dict(type=int, default=2, metavar="PRIME"),
     "--seed": dict(type=int, default=1, metavar="N"),
     "--max-oracle": dict(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from lightsout import gfmat
+from lightsout.game import check_mode
 from lightsout.gfmat import PrimeFieldMatrix
 # poly_gcd and charpoly_oracle are unused here, but the benchmark tracer binds both
 # here, and test_example2_never_calls_the_charpoly_oracle binds charpoly_oracle.
@@ -23,15 +24,6 @@ from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
 #: default cap; lower at odd p, where 1024 rows take about 3 s and 4096 over 150 s.
 ORACLE_SIZE_CAP = 4096
 ORACLE_SIZE_CAP_ODD_P = 1024
-
-MODES = ("open", "closed")
-
-
-def check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
 
 def partition_min_sum(pi: Sequence[int], tau: Sequence[int]) -> int:
     """Double sum of min(pi_i, tau_j); always >= min(sum(pi), sum(tau))."""

@@ -20,8 +20,16 @@ from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from lightsout import gfmat
-from lightsout.formulas import check_mode
 from lightsout.gfmat import PrimeFieldMatrix
+
+
+MODES = ("open", "closed")
+
+
+def check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
 
 
 class GraphParseError(ValueError):

@@ -2,16 +2,24 @@
 
 Matrices over GF(2) are stored as bit-packed rows, one Python int per row in
 ``gfpoly``'s packed format, and reduced by the pure-Python Four Russians
-kernel in lightsout._gf2kernel; other primes use residue rows with
-schoolbook elimination.  Every elimination goes through ``_echelon``.  The
-representation is internal: construction, indexing and equality behave
-identically for every modulus.
+kernel in lightsout._gf2kernel; other primes use residue rows, which
+``_reduce_modp`` adds one at a time to a basis of monic rows.  Eliminations
+go through ``_echelon``; the Krylov pass reduces its rows as it makes them.
+The representation is this module's alone: construction, indexing and
+equality behave identically for every modulus.
+
+``krylov_relations`` presents GF(p)^n, x acting by v -> vA, by k cyclic
+generators and their k x k relation matrix R (Keller-Gehrig, TCS 36, 1985;
+Storjohann, ISSAC 1998) in O(n^2) row operations.  The invariant factors
+of xI - A are n - k ones followed by those of R: k is mostly 1-4 for
+random graphs and m on an m x m grid.
 
 Packed rows are read only where CLI verbs and brute-force oracles loop:
-construction, entry access, elimination, ``sylvester_operator``, ``mul_vec``
-(over residue rows the exhaustive press-set checks ran about 15 times
-slower) and, from ``_data``, ``snf.krylov_relations``.  ``+``, ``-``, ``@``, ``transpose``, ``inverse`` and
-``kronecker`` are written once, over residue rows, through ``_of_rows``.
+construction, entry access, elimination, the Krylov pass,
+``sylvester_operator`` and ``mul_vec`` (over residue rows the exhaustive
+press-set checks ran about 15 times slower).  ``+``, ``-``, ``@``,
+``transpose``, ``inverse`` and ``kronecker`` are written once, over residue
+rows, through ``_of_rows``.
 
 All operations are pure functions on value-semantic inputs; nothing mutates
 its arguments, so matrices can be shared freely across threads.
@@ -19,11 +27,12 @@ its arguments, so matrices can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from lightsout import _gf2kernel
-from lightsout.gfpoly import _pack_bits, _unpack_bits, check_prime
+from lightsout.gfpoly import Poly, _pack_bits, _unpack_bits, check_prime
 
 
 class RankProfile(NamedTuple):
@@ -169,36 +178,45 @@ class PrimeFieldMatrix:
         return self._of_rows(columns, self.rows, self.p)
 
 
-def _echelon_modp(rows, ncols, p, reduced):
-    out = [list(r) for r in rows]
-    m = len(out)
-    pivots = []
-    r = 0
+def _reduce_modp(w: list, basis: list, ncols: int, p: int) -> bool:
+    """Clear w's first ncols columns against ``basis`` in place; True if w joined it.
+
+    basis[c] is None or a row monic at c, stored from c on; w joins, made
+    monic, at its first nonzero column with None.  Entries are reduced mod
+    p only where read, and w may run past ncols (the Krylov pass's tags).
+    """
     for c in range(ncols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if out[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            out[r], out[pr] = out[pr], out[r]
-        inv = pow(out[r][c], -1, p)
-        if inv != 1:
-            out[r] = [(v * inv) % p for v in out[r]]
-        prow = out[r]
-        start = 0 if reduced else r + 1
-        for i in range(start, m):
-            if i != r:
-                f = out[i][c]
-                if f:
-                    out[i] = [(a - f * b) % p for a, b in zip(out[i], prow)]
-        pivots.append(c)
-        r += 1
-    return out, pivots
+        if f := w[c] % p:
+            if (row := basis[c]) is None:
+                inv = pow(f, -1, p)
+                basis[c] = [a * inv % p for a in w[c:]]
+                return True
+            w[c : c + len(row)] = map(operator.sub, w[c:], map(f.__mul__, row))
+    return False
+
+
+def _echelon_modp(rows, ncols, p, reduced):
+    basis: list = [None] * ncols
+    for row in rows:
+        _reduce_modp(list(row), basis, ncols, p)
+    pivots = [c for c, row in enumerate(basis) if row is not None]
+    out = [[0] * c + basis[c] for c in pivots]
+    if reduced:  # clear above each pivot, right to left
+        for k in range(len(pivots) - 1, -1, -1):
+            c, prow = pivots[k], out[k]
+            for row in out[:k]:
+                if f := row[c]:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], prow[c:])]
+    return out + [[0] * ncols for _ in range(len(rows) - len(pivots))], pivots
 
 
 def _echelon(rows, ncols: int, p: int, reduced: bool):
-    """Row-reduce packed rows (p = 2) or residue rows; returns (rows, pivots)."""
+    """Row-reduce packed rows (p = 2) or residue rows; returns (rows, pivots).
+
+    A row per pivot, in pivot order, 1 there and 0 left of it, then zero
+    rows; the pivots are column-at-a-time elimination's.  ``reduced`` gives
+    the RREF; odd-p forward rows may differ from it right of their pivot.
+    """
     if p == 2:
         # looked up at call time, so a wrapper bound on the module sees it
         return _gf2kernel.echelon_bits(rows, ncols, reduced=reduced)
@@ -353,3 +371,70 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
                         row[idx] = (row[idx] - v) % p
                 data.append(row)
     return PrimeFieldMatrix._packed(m * n, p, data)
+
+
+def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
+    """(n - k, R) for GF(p)^n as a GF(p)[x]-module, x acting by v -> vA.
+
+    Takes e_1, e_2, ... in turn, skipping each one already spanned, and
+    extends the kept v_i by v_i A, v_i A^2, ... until v_i A^d_i reduces to
+    zero against an echelon basis of every vector so far.  A basis row is a
+    reduced vector followed by a tag, the Krylov combination it equals, so
+    a zero reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
+    R is lower triangular, R_ii is monic of degree d_i, R_ij has degree
+    < d_j, and the d_i sum to n.  At p = 2 R's entries are packed ints, bit
+    i the coefficient of x^i, sliced straight out of the packed tags; at odd
+    p they are Poly.  Raises ValueError for a non-square matrix.
+    """
+    if not A.is_square:
+        raise ValueError("Krylov relations require a square matrix")
+    n, p, rows = A.rows, A.p, A._data
+    pivots: list = [None] * n  # column -> the basis row whose first nonzero entry, 1, is there
+    if p == 2:
+        def times_a(u):
+            w = 0
+            while u:
+                low = u & -u
+                w ^= rows[low.bit_length() - 1]
+                u ^= low
+            return w
+
+        def reduce(u, m):  # the relation's packed tag, or None after adding a basis row
+            w = u | 1 << (n + m)
+            while (c := (w & -w).bit_length() - 1) < n:
+                if pivots[c] is None:
+                    pivots[c] = w
+                    return None
+                w ^= pivots[c]
+            return w >> n
+    else:
+        def times_a(u):
+            w = [0] * n
+            for c, row in zip(u, rows):
+                if c:
+                    w = list(map(operator.add, w, map(c.__mul__, row)))
+            return [a % p for a in w]
+
+        def reduce(u, m):
+            w = u + [0] * m + [1]
+            return None if _reduce_modp(w, pivots, n, p) else [a % p for a in w[n:]]
+    starts, tags, m = [], [], 0
+    for e in range(n):
+        if m == n:
+            break
+        u, start = 1 << e if p == 2 else [int(j == e) for j in range(n)], m
+        while (tag := reduce(u, m)) is None:
+            m, u = m + 1, times_a(u)
+        if m > start:
+            starts.append(start)
+            tags.append(tag)
+    zero = 0 if p == 2 else Poly.zero(p)
+    R = [[zero] * len(tags) for _ in tags]
+    for i, tag in enumerate(tags):
+        for j, (lo, hi) in enumerate(zip(starts[: i + 1], starts[1:] + [n])):
+            hi += i == j  # R_ii also takes the tag's last entry, its x^d_i coefficient 1
+            if p == 2:
+                R[i][j] = (tag >> lo) & ((1 << (hi - lo)) - 1)
+            elif any(coeffs := tag[lo:hi]):
+                R[i][j] = Poly(coeffs, p)
+    return n - len(R), R

@@ -1,14 +1,8 @@
 """Smith normal form and invariant factors over GF(p)[x].
 
-``invariant_factors(A)`` never builds the n x n matrix xI - A.
-``krylov_relations`` takes GF(p)^n as a GF(p)[x]-module, x acting by
-v -> vA, picks k cyclic generators among e_1, e_2, ... and returns their
-k x k relation matrix R (Keller-Gehrig, TCS 36, 1985; Storjohann, ISSAC
-1998), in O(n^2) row operations on packed ints at p = 2 and residue lists
-at odd p.  The invariant factors of xI - A are n - k ones followed by those
-of R: k is mostly 1-4 for random graphs and m on an m x m grid.  R's
-entries are in ``gfpoly``'s working form: packed ints sliced out of the
-packed tags at p = 2, Poly carrying the signs of the reduction at odd p.
+``invariant_factors(A)`` never builds the n x n matrix xI - A: it takes
+n - k ones and the invariant factors of the k x k relation matrix R of
+``gfmat.krylov_relations``.
 
 ``smith_normal_form`` diagonalizes by Euclidean division, then turns the
 diagonal into the ordered invariant factors s_1 | s_2 | ... | s_m by gcd/lcm
@@ -24,11 +18,10 @@ must agree; the test suite leans on that cross-check heavily.
 
 from __future__ import annotations
 
-import operator
 from functools import reduce
 from typing import Sequence
 
-from lightsout.gfmat import PrimeFieldMatrix
+from lightsout.gfmat import PrimeFieldMatrix, krylov_relations
 from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_key, poly_ops
 
 
@@ -231,81 +224,6 @@ def smith_normal_form(M: Sequence[Sequence[Poly | int]], packed: bool = False) -
     # it, which parks memory on the interpreter's tuple free lists every call
     factors = tuple([monic(f) for f in d if size(f) > 1])
     return SnfResult._of(field, n - len(factors), factors)
-
-
-def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
-    """(n - k, R) for GF(p)^n as a GF(p)[x]-module, x acting by v -> vA.
-
-    Takes e_1, e_2, ... in turn, skipping each one already spanned, and
-    extends the kept v_i by v_i A, v_i A^2, ... until v_i A^d_i reduces to
-    zero against an echelon basis of every vector so far.  A basis row is a
-    reduced vector followed by a tag, the Krylov combination it equals, so
-    a zero reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
-    R is lower triangular, R_ii is monic of degree d_i, R_ij has degree
-    < d_j, and the d_i sum to n.  At p = 2 R's entries are packed ints, bit
-    i the coefficient of x^i, sliced straight out of the packed tags; at odd
-    p they are Poly.  Raises ValueError for a non-square matrix.
-    """
-    if not A.is_square:
-        raise ValueError("Krylov relations require a square matrix")
-    n, p, rows = A.rows, A.p, A._data
-    pivots: list = [None] * n  # column -> the basis row whose first nonzero entry, 1, is there
-    if p == 2:
-        def times_a(u):
-            w = 0
-            while u:
-                low = u & -u
-                w ^= rows[low.bit_length() - 1]
-                u ^= low
-            return w
-
-        def reduce(u, m):  # the relation's packed tag, or None after adding a basis row
-            w = u | 1 << (n + m)
-            while (c := (w & -w).bit_length() - 1) < n:
-                if pivots[c] is None:
-                    pivots[c] = w
-                    return None
-                w ^= pivots[c]
-            return w >> n
-    else:
-        def times_a(u):
-            w = [0] * n
-            for c, row in zip(u, rows):
-                if c:
-                    w = list(map(operator.add, w, map(c.__mul__, row)))
-            return [a % p for a in w]
-
-        def reduce(u, m):  # entries are reduced mod p only where read
-            w, c = u + [0] * m + [1], 0
-            while (c := next(j for j in range(c, n + m + 1) if w[j] % p)) < n:
-                row = pivots[c]  # stored from column c on
-                if row is None:
-                    inv = pow(w[c], -1, p)
-                    pivots[c] = [a * inv % p for a in w[c:]]
-                    return None
-                f, end = w[c] % p, c + len(row)
-                w[c:end] = map(operator.sub, w[c:end], map(f.__mul__, row))
-            return [a % p for a in w[n:]]
-    starts, tags, m = [], [], 0
-    for e in range(n):
-        if m == n:
-            break
-        u, start = 1 << e if p == 2 else [int(j == e) for j in range(n)], m
-        while (tag := reduce(u, m)) is None:
-            m, u = m + 1, times_a(u)
-        if m > start:
-            starts.append(start)
-            tags.append(tag)
-    zero = 0 if p == 2 else Poly.zero(p)
-    R = [[zero] * len(tags) for _ in tags]
-    for i, tag in enumerate(tags):
-        for j, (lo, hi) in enumerate(zip(starts[: i + 1], starts[1:] + [n])):
-            hi += i == j  # R_ii also takes the tag's last entry, its x^d_i coefficient 1
-            if p == 2:
-                R[i][j] = (tag >> lo) & ((1 << (hi - lo)) - 1)
-            elif any(coeffs := tag[lo:hi]):
-                R[i][j] = Poly(coeffs, p)
-    return n - len(R), R
 
 
 def invariant_factors(A: PrimeFieldMatrix) -> SnfResult:

@@ -121,6 +121,41 @@ def echelon_bits_by_columns(rows, ncols, reduced=True):
     return out, pivots
 
 
+def echelon_modp_by_columns(rows, ncols, p, reduced=True):
+    """Column-at-a-time elimination over GF(p), p odd: the twin of ``echelon_bits_by_columns``.
+
+    The loop ``gfmat`` ran before it reduced one row at a time: the pivot is
+    the first row at or below r with a nonzero entry in column c, scaled to
+    1, and cleared from every row below it (or from every other row when
+    ``reduced``).  Its pivots and RREF define the odd-p ``_echelon`` contract.
+    """
+    out = [list(r) for r in rows]
+    m = len(out)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if out[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            out[r], out[pr] = out[pr], out[r]
+        inv = pow(out[r][c], -1, p)
+        if inv != 1:
+            out[r] = [(v * inv) % p for v in out[r]]
+        prow = out[r]
+        start = 0 if reduced else r + 1
+        for i in range(start, m):
+            if i != r:
+                f = out[i][c]
+                if f:
+                    out[i] = [(a - f * b) % p for a, b in zip(out[i], prow)]
+        pivots.append(c)
+        r += 1
+    return out, pivots
+
+
 def product_solve_two_eliminations(A: PrimeFieldMatrix, B: PrimeFieldMatrix):
     """(solvable, presses, solution_exponent) of the all-on product game over GF(2).
 

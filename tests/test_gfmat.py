@@ -1,18 +1,21 @@
 """Dense exact linear algebra over GF(p): rank, solve, kernels, Kronecker."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import (
     brute_force_solutions,
     commuting_pairs_dimension,
+    echelon_modp_by_columns,
     random_invertible,
     random_matrix01,
     random_modp_matrix,
     random_symmetric01,
 )
-from lightsout import gfmat
+from lightsout import game, gfmat
 from lightsout.gfmat import PrimeFieldMatrix
 
 P2 = PrimeFieldMatrix([[0, 1], [1, 0]], 2)
@@ -204,6 +207,56 @@ class TestRref:
         M = PrimeFieldMatrix([[0, 1, 1], [0, 1, 1], [1, 0, 1]], 2)
         _, profile = gfmat.rref(M)
         assert profile.pivot_columns == (0, 1)
+
+
+class TestOddPEchelon:
+    @staticmethod
+    def check_against_columns(rows, ncols, p):
+        forward, pivots = gfmat._echelon(rows, ncols, p, reduced=False)
+        rref_rows, rref_pivots = gfmat._echelon(rows, ncols, p, reduced=True)
+        ref_rows, ref_pivots = echelon_modp_by_columns(rows, ncols, p, reduced=True)
+        assert pivots == rref_pivots == ref_pivots
+        assert rref_rows == ref_rows
+        assert len(forward) == len(rows)
+        for k, row in enumerate(forward):
+            c = pivots[k] if k < len(pivots) else ncols
+            assert row[:c] == [0] * c and row[c : c + 1] in ([1], [])
+            assert all(0 <= v < p for v in row)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 65521])
+    def test_row_at_a_time_matches_column_at_a_time(self, p):
+        rng = random.Random(p)
+        shapes = [(0, 0), (0, 4), (4, 0), (1, 1)] + [
+            (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)
+        ]
+        for rows, cols in shapes:
+            entries = random_modp_matrix(rows, cols, p, rng)
+            if rows > 2 and rng.random() < 0.5:  # dependent rows
+                entries[-1] = [(a + 2 * b) % p for a, b in zip(entries[0], entries[1])]
+            self.check_against_columns(entries, cols, p)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("specs", [("path:5", "path:7"), ("grid:3x3", "grid:2x4")])
+    def test_sylvester_operators_of_path_and_grid_pairs(self, specs, p):
+        for mode in game.MODES:
+            A, B = (game.switching_matrix(game.build_family(s), mode, p) for s in specs)
+            L = gfmat.sylvester_operator(A, B)
+            self.check_against_columns(L.to_lists(), L.cols, p)
+
+
+class TestStorageBoundary:
+    def test_only_gfmat_reads_the_stored_rows(self):
+        # how a PrimeFieldMatrix stores its rows is gfmat's alone: no module
+        # above it reads _data, the Krylov pass included
+        src = Path(gfmat.__file__).parent
+        for name in ("cli.py", "formulas.py", "game.py", "snf.py"):
+            tree = ast.parse((src / name).read_text(encoding="utf-8"))
+            reads = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_data"
+            ]
+            assert reads == [], name
 
 
 class TestSolve:
