@@ -5,19 +5,21 @@ A handler only builds its report's rows and notes.  Every comparison row
 carries its verdicts: ``oracle_match`` (a primary route against its oracle:
 the elimination oracle, the Berkowitz expansion for charpoly, or for a
 product solve a check on a second build of the operator) and, on product
-rows, ``bound_holds`` (gcd bound).  A product solve reads its press matrix,
-its nullity and, when unsolvable, a certificate off one elimination.  One
-step in ``run`` then copies each row that reads ``mismatch`` or
-``violated`` into the violations, adds one note counting the rows with a
-cell skipped over the oracle cap, and exits 1 exactly when the violations
-are non-empty.  Usage errors (unknown flags, flags the verb does not read,
-malformed graph specs, unreadable or non-UTF-8 files, a non-prime --p, a
-negative --max-oracle, an unwritable --csv path, a factor graph over the
-formula route's vertex cap) exit 2.  Any other exception is an internal
-fault and exits 3.  An operator larger than --max-oracle is never built:
-its row is marked ``skipped`` in every verb; the default cap is 4096, and 1024
-for elimination at odd p.  charpoly counts n vertices as n * n, so by default
-its O(n^4) oracle runs up to n = 64.  Each distinct factor graph is summarized
+rows, ``bound_holds`` (gcd bound).  ``solve`` reads its press set and its
+nullity off one ``gfmat.solve_system`` elimination: of the switching matrix
+on one graph, of the Sylvester operator on a product, whose certificate
+when unsolvable comes from the same pass.  One step in ``run`` then copies
+each row that reads ``mismatch`` or ``violated`` into the violations, adds
+one note counting the rows with a cell skipped over the oracle cap, and
+exits 1 exactly when the violations are non-empty.  Usage errors (unknown
+flags, flags the verb does not read, malformed graph specs, unreadable or
+non-UTF-8 files, a non-prime --p, a negative --max-oracle, an unwritable
+--csv path, a factor graph over the formula route's vertex cap) exit 2.
+Any other exception is an internal fault and exits 3.  An operator larger
+than --max-oracle is never built: its row is marked ``skipped`` in every
+verb; the default cap is 4096, and 1024 for elimination at odd p.  charpoly
+counts n vertices as n * n, so by default its O(n^4) oracle runs up to
+n = 64.  Each distinct factor graph is summarized
 once per invocation (``FactorSummary``, in ``gfpoly``'s working form, where no
 GF(2) row builds a Poly), so a sweep over n x n pairs computes n invariant-factor
 lists in open mode and 2n in closed, not 2n^2: each one Krylov pass and a k x k Smith form.
@@ -335,30 +337,29 @@ def _cmd_counts(args) -> Report:
 def _cmd_solve(args) -> Report:
     g = game.build_family(args.g)
     if args.h is None:
-        inst = game.LightsInstance(g, args.mode, (1,) * g.vertex_count)
-        sol = game.solve_presses(inst)
+        n = g.vertex_count
+        x, nu, _ = gfmat.solve_system(game.switching_matrix(g, args.mode), (1,) * n)
         row = {
             "g": args.g,
             "mode": args.mode,
-            "n": g.vertex_count,
+            "n": n,
             "config": "all-on",
-            "solvable": "yes" if sol else "no",
-            "presses": _presses_string(sol.presses) if sol else "-",
-            "solution_exponent": sol.count_exponent if sol else "-",
+            "solvable": "yes" if x is not None else "no",
+            "presses": _presses_string(x) if x is not None else "-",
+            "solution_exponent": nu if x is not None else "-",
         }
         return Report(args.command_echo, results=[row])
     h = game.build_family(args.h)
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count
-    C = PrimeFieldMatrix.from_bits([(1 << n) - 1] * m, n, 2)  # all-on
-    ones = (1,) * (m * n)
+    ones = (1,) * (m * n)  # vec of the all-on configuration
 
     def solve_and_check(A, B):
-        x, nu, y = game.sylvester_system(A, B, C)
+        x, nu, y = gfmat.solve_system(gfmat.sylvester_operator(A, B), ones)
         # The check builds its own L.  A and B are symmetric, so L is too,
-        # and a null vector y of L with y . vec(C) = 1 proves vec(C) is
-        # outside L's column space.
+        # and a null vector y of L with y . ones = 1 proves the all-on
+        # configuration is outside L's column space.
         L = gfmat.sylvester_operator(A, B)
         if x is not None:
             ok = L.mul_vec(x) == ones

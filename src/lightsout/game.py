@@ -303,7 +303,8 @@ def solve_presses(inst: LightsInstance) -> PressSolution | None:
 
     Both come from one elimination of [M | config]: its null vector at the
     last column is (presses, 1) when one exists, and the others are
-    (kernel vector, 0).
+    (kernel vector, 0).  The library's kernel API; the CLI's ``solve``,
+    which reads no kernel basis, is tested against it.
     """
     n = inst.graph.vertex_count
     rows = _switching_bits(inst.graph, inst.mode)
@@ -326,22 +327,7 @@ def sylvester_solve(
     """Solve AX - XB = C by vectorizing against the product operator.
 
     Returns one solution X (m x n) or None when the configuration is not
-    reachable.
-    """
-    m, n = A.rows, B.rows
-    x = sylvester_system(A, B, C)[0]
-    if x is None:
-        return None
-    # the shape is explicit: with no rows the list alone would lose the n columns
-    entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
-    return PrimeFieldMatrix._of_rows(entries, n, A.p)
-
-
-def sylvester_system(A: PrimeFieldMatrix, B: PrimeFieldMatrix, C: PrimeFieldMatrix):
-    """``gfmat.solve_system`` on L vec(X) = vec(C), L the operator of X -> AX - XB.
-
-    One elimination gives (vec(X) or None, the nullity of L, and a
-    certificate when there is no X); entry (i, j) of X sits at index j*m + i.
+    reachable.  Entry (i, j) of X sits at index j*m + i of vec(X).
     """
     if not A.is_square or not B.is_square:
         raise ValueError("Sylvester solve requires square A and B")
@@ -353,4 +339,9 @@ def sylvester_system(A: PrimeFieldMatrix, B: PrimeFieldMatrix, C: PrimeFieldMatr
             f"dimension mismatch: C is {C.rows}x{C.cols}, expected {m}x{n}"
         )
     vec = [C[i, j] for j in range(n) for i in range(m)]
-    return gfmat.solve_system(gfmat.sylvester_operator(A, B), vec)
+    x = gfmat.solve_system(gfmat.sylvester_operator(A, B), vec)[0]
+    if x is None:
+        return None
+    # the shape is explicit: with no rows the list alone would lose the n columns
+    entries = [[x[j * m + i] for j in range(n)] for i in range(m)]
+    return PrimeFieldMatrix._of_rows(entries, n, A.p)

@@ -313,11 +313,9 @@ def _gcd2(a: int, b: int) -> int:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid, on packed ints over GF(2); gcd(0, f) = monic(f), gcd(0, 0) = 0."""
+    """Monic gcd by Euclid over ``Poly``; gcd(0, f) = monic(f), gcd(0, 0) = 0."""
     if a.p != b.p:
         raise ValueError(f"field mismatch: GF({a.p}) vs GF({b.p})")
-    if a.p == 2:
-        return _to_poly2(_gcd2(_pack_bits(a.coeffs), _pack_bits(b.coeffs)))
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()

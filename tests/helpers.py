@@ -185,8 +185,9 @@ def product_solve_two_eliminations(A: PrimeFieldMatrix, B: PrimeFieldMatrix):
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by a Euclid loop over ``Poly.__mod__``.
 
-    ``poly_gcd`` runs on packed ints over GF(2), the same helpers as the
-    Smith form, so the references below take their gcds here instead.
+    ``poly_gcd`` runs the same loop; this copy keeps the references below
+    free of ``gfpoly``'s gcd, and so of the packed ``_gcd2`` the Smith form
+    uses at p = 2.
     """
     while b:
         a, b = b, a % b

@@ -524,6 +524,51 @@ def _write_graph(path: Path, g: game.Graph) -> str:
     return f"file:{path}"
 
 
+class TestSingleSolve:
+    """solve --g: one elimination of [M | ones], against the library's kernel API."""
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_rows_equal_the_solve_presses_rows(self, mode, tmp_path, capsys):
+        rng = random.Random(2707)
+        specs = [f"grid:{m}x{n}" for m in range(1, 13) for n in range(1, 13)]
+        specs += [f"path:{n}" for n in range(1, 13)] + [f"cycle:{n}" for n in range(3, 13)]
+        specs += [f"star:{n}" for n in range(1, 13)] + ["petersen"]
+        specs.append(_write_graph(tmp_path / "empty.txt", game.Graph(0, frozenset())))
+        for k in range(100):
+            g = game.random_graph(rng.randint(1, 12), rng)
+            specs.append(_write_graph(tmp_path / f"g{k}.txt", g))
+        for spec in specs:
+            g = game.build_family(spec)
+            sol = game.solve_presses(game.LightsInstance(g, mode, (1,) * g.vertex_count))
+            want = ("no", "-", "-")
+            if sol:
+                want = ("yes", "".join(map(str, sol.presses)), sol.count_exponent)
+            code, report = cli.run(["solve", "--g", spec, "--mode", mode])
+            row = report.results[0]
+            assert code == 0
+            assert (row["solvable"], row["presses"], row["solution_exponent"]) == want, spec
+        capsys.readouterr()
+
+    def test_one_forward_elimination_and_no_kernel_basis(self, capsys, monkeypatch):
+        calls = []
+        echelon_bits, kernel_basis = _gf2kernel.echelon_bits, gfmat.kernel_basis
+
+        def counted_echelon(rows, ncols, reduced=True):
+            calls.append(("echelon_bits", reduced))
+            return echelon_bits(rows, ncols, reduced)
+
+        def counted_kernel(M):
+            calls.append(("kernel_basis",))
+            return kernel_basis(M)
+
+        monkeypatch.setattr(_gf2kernel, "echelon_bits", counted_echelon)
+        monkeypatch.setattr(gfmat, "kernel_basis", counted_kernel)
+        code, report = cli.run(["solve", "--g", "grid:8x8", "--mode", "closed"])
+        capsys.readouterr()
+        assert code == 0 and report.results[0]["solvable"] == "yes"
+        assert calls == [("echelon_bits", False)]
+
+
 class TestProductSolve:
     """solve --g --h: one elimination of [L | vec C], checked on a second build of L."""
 
@@ -817,6 +862,8 @@ class TestOutputs:
             ("sweep cycles:3-14 --mode closed", "c3605b6c218534b82b087564fbb687a94319a1ccb437a32edca8ac926e60ada2"),
             ("counts --g grid:100x100 --mode closed", "a5e7e729ac940a473d54cacca5bec438f94da650b3a9d7581c9944e0f3e06b04"),
             ("solve --g grid:64x64 --mode closed", "1f0abcb53c2eceb1795b88449c60ecbbaba1cdba3165bf8ef620a2278232c029"),
+            ("solve --g grid:31x31", "1ef97bef484aaa4c4319d02fb05c26356c4e7f465d786a22f1c189425268367a"),
+            ("solve --g grid:64x64", "ad12274b659e0a9a9c2045360e68adc78e50885f6e57bdedbdb738acfcf33ec7"),
             ("nullity --g grid:8x8 --h grid:8x8", "f0b8e9dffd6b94673caa33a7b5909558a5a2d48043b7f4b80259c7d6451523a3"),
             ("snf --g grid:24x24", "6622388757599b10163b50cfecb667399fc848f12116d83a5b62e68c3c4b8d9b"),
             ("charpoly --g path:65", "aba080896e3c3be7fbd97063840c539f34507c46f3adc4d115abe699229935ff"),
