@@ -167,21 +167,13 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 # -- shared computation ------------------------------------------------------
 
 
-def _oracle(A, B, cap: int | None, compute=None):
-    """compute(A, B) for the A-by-B product operator, or "skipped" over the cap.
-
-    compute defaults to the elimination oracle, formulas.oracle_nullity.
-    Every verb that builds a product operator comes through here, so an
-    operator larger than --max-oracle is skipped the same way everywhere.
-    """
-    if cap is None:  # no --max-oracle: odd-p elimination, the slow oracle, has the lower cap
-        odd_p_elimination = A.p != 2 and compute is None
-        cap = formulas.ORACLE_SIZE_CAP_ODD_P if odd_p_elimination else formulas.ORACLE_SIZE_CAP
-    if A.rows * B.rows > cap:
-        return "skipped"
-    if compute is None:
-        return formulas.oracle_nullity(A, B, max_dim=cap)
-    return compute(A, B)
+def _oracle_cap(args, odd_p_elimination: bool) -> int:
+    """--max-oracle, or by default formulas.ORACLE_SIZE_CAP, and ORACLE_SIZE_CAP_ODD_P
+    for the elimination oracle at odd p: every verb skips an operator with more
+    rows (n * n for charpoly) than this, before building it."""
+    if args.max_oracle is not None:
+        return args.max_oracle
+    return formulas.ORACLE_SIZE_CAP_ODD_P if odd_p_elimination else formulas.ORACLE_SIZE_CAP
 
 
 def _match(oracle, value) -> str:
@@ -205,15 +197,22 @@ class FactorSummary:
         return poly_ops(self.matrix.p).to_poly(self.charpoly)
 
 
-def _check_cap(g: Graph, p: int) -> None:
-    """Raise OverCapError for a graph over FORMULA_VERTEX_CAP vertices
+def _check_cap(n: int, p: int) -> None:
+    """Raise OverCapError for a factor graph of n vertices over FORMULA_VERTEX_CAP
     (FORMULA_VERTEX_CAP_ODD_P at odd p)."""
     cap = FORMULA_VERTEX_CAP if p == 2 else FORMULA_VERTEX_CAP_ODD_P
-    if g.vertex_count > cap:
-        raise OverCapError(
-            f"factor graph has {g.vertex_count} vertices, "
-            f"over the formula cap of {cap} at p = {p}"
-        )
+    if n > cap:
+        raise OverCapError(f"factor graph has {n} vertices, over the formula cap of {cap} at p = {p}")
+
+
+def _family(spec: str, p: int) -> Graph:
+    """``game.build_family(spec)``, refused over the formula cap at p before its
+    first edge is built; a file: spec's size comes with its edges, so ``_factor``
+    checks it."""
+    n = game.family_order(spec)
+    if n is not None:
+        _check_cap(n, p)
+    return game.build_family(spec)
 
 
 def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
@@ -221,12 +220,12 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
 
     memo is keyed by (Graph, mode, p) and lives for one handler call, so
     each distinct factor of a sweep is summarized once per invocation.
-    Raises OverCapError for a graph over FORMULA_VERTEX_CAP vertices
-    (FORMULA_VERTEX_CAP_ODD_P at odd p) before its switching matrix is built.
+    Raises OverCapError for a graph over the formula cap before its switching
+    matrix is built: file: specs and random graphs are checked only here.
     """
     key = (g, mode, p)
     if key not in memo:
-        _check_cap(g, p)
+        _check_cap(g.vertex_count, p)
         M = game.switching_matrix(g, mode, p)
         s = snf.invariant_factors(M)
         memo[key] = FactorSummary(M, s, p)
@@ -234,15 +233,7 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
 
 
 def _product_row(
-    gspec: str,
-    hspec: str,
-    fa: FactorSummary,
-    fb: FactorSummary,
-    mode: str,
-    p: int,
-    cap: int,
-    extra: dict | None = None,
-    charpolys: bool = False,
+    gspec: str, hspec: str, fa: FactorSummary, fb: FactorSummary, mode: str, p: int, cap: int
 ) -> dict:
     """One formula/oracle/bound comparison row for a product operator.
 
@@ -250,31 +241,25 @@ def _product_row(
     mode.  Closed mode shifts the first matrix to A + I; over GF(2) that is
     exactly the closed-switching matrix of the product graph.  The bound is
     deg gcd(c_A, c_B) of the two matrices compared, with both characteristic
-    polynomials read off their invariant factors, in the working form.  With
-    ``charpolys`` the row also carries the open-mode polynomials of both
-    factors: c_A(x) = c_{A+I}(x + 1) over every GF(p).
+    polynomials read off their invariant factors, in the working form.  The
+    elimination oracle runs when the operator has at most ``cap`` rows.
     """
+    size = fa.matrix.rows * fb.matrix.rows
     value = formulas.nullity_snf_product(fa.snf, fb.snf)
     bound = formulas.gcd_lower_bound(fa.charpoly, fb.charpoly)
-    oracle = _oracle(fa.matrix, fb.matrix, cap)
-
-    row = dict(extra or {})
-    row.update(
-        g=gspec,
-        h=hspec,
-        mode=mode,
-        p=p,
-        operator_size=fa.matrix.rows * fb.matrix.rows,
-        nullity_formula=value,
-        lower_bound=bound,
-        nullity_oracle=oracle,
-        oracle_match=_match(oracle, value),
-        bound_holds="ok" if bound <= (value if oracle == "skipped" else oracle) else "violated",
-    )
-    if charpolys:
-        row["charpoly_g"] = str(shift_one(fa.poly()) if mode == "closed" else fa.poly())
-        row["charpoly_h"] = str(fb.poly())
-    return row
+    oracle = "skipped" if size > cap else formulas.oracle_nullity(fa.matrix, fb.matrix, max_dim=cap)
+    return {
+        "g": gspec,
+        "h": hspec,
+        "mode": mode,
+        "p": p,
+        "operator_size": size,
+        "nullity_formula": value,
+        "lower_bound": bound,
+        "nullity_oracle": oracle,
+        "oracle_match": _match(oracle, value),
+        "bound_holds": "ok" if bound <= (value if oracle == "skipped" else oracle) else "violated",
+    }
 
 
 def _presses_string(bits: Sequence[int]) -> str:
@@ -284,45 +269,43 @@ def _presses_string(bits: Sequence[int]) -> str:
 # -- handlers ----------------------------------------------------------------
 
 
+def _one_factor(args) -> tuple[dict, FactorSummary]:
+    """The g, mode, p and n cells of charpoly's and snf's row, and the FactorSummary."""
+    f = _factor({}, _family(args.g, args.p), args.mode, args.p)
+    return {"g": args.g, "mode": args.mode, "p": args.p, "n": f.matrix.rows}, f
+
+
 def _cmd_charpoly(args) -> Report:
-    g = game.build_family(args.g)
-    f = _factor({}, g, args.mode, args.p)
-    M, via_snf = f.matrix, f.poly()
-    via_oracle = _oracle(M, M, args.max_oracle, lambda A, _: snf.charpoly_oracle(A, args.p))
-    row = {
-        "g": args.g,
-        "mode": args.mode,
-        "p": args.p,
-        "n": g.vertex_count,
-        "charpoly_snf": str(via_snf),
-        "charpoly_oracle": str(via_oracle),
-        "oracle_match": _match(via_oracle, via_snf),
-    }
+    row, f = _one_factor(args)
+    n, via_snf = f.matrix.rows, f.poly()
+    cap = _oracle_cap(args, odd_p_elimination=False)
+    via_oracle = "skipped" if n * n > cap else snf.charpoly_oracle(f.matrix, args.p)
+    row.update(
+        charpoly_snf=str(via_snf),
+        charpoly_oracle=str(via_oracle),
+        oracle_match=_match(via_oracle, via_snf),
+    )
     return Report(args.command_echo, results=[row])
 
 
 def _cmd_snf(args) -> Report:
-    g = game.build_family(args.g)
-    f = _factor({}, g, args.mode, args.p)
-    row = {
-        "g": args.g,
-        "mode": args.mode,
-        "p": args.p,
-        "n": g.vertex_count,
-        "invariant_factors": str(f.snf),
-        "charpoly": str(f.poly()),
-    }
+    row, f = _one_factor(args)
+    row.update(invariant_factors=str(f.snf), charpoly=str(f.poly()))
     return Report(args.command_echo, results=[row])
 
 
-def _cmd_nullity(args, charpolys: bool = False) -> Report:
+def _cmd_nullity(args) -> Report:
+    """The product row of nullity and of bound.  bound's row also carries the
+    open-mode polynomials of both factors: c_A(x) = c_{A+I}(x + 1) over every GF(p)."""
     memo: dict = {}
-    fa = _factor(memo, game.build_family(args.g), args.mode, args.p)
-    fb = _factor(memo, game.build_family(args.h), "open", args.p)
+    fa = _factor(memo, _family(args.g, args.p), args.mode, args.p)
+    fb = _factor(memo, _family(args.h, args.p), "open", args.p)
     fa.poly(), fb.poly()  # unprinted; perfbench/test_tracer.py counts a GF(2) nullity's Poly
-    row = _product_row(
-        args.g, args.h, fa, fb, args.mode, args.p, args.max_oracle, charpolys=charpolys
-    )
+    cap = _oracle_cap(args, odd_p_elimination=args.p != 2)
+    row = _product_row(args.g, args.h, fa, fb, args.mode, args.p, cap)
+    if args.verb == "bound":
+        row["charpoly_g"] = str(shift_one(fa.poly()) if args.mode == "closed" else fa.poly())
+        row["charpoly_h"] = str(fb.poly())
     return Report(args.command_echo, results=[row])
 
 
@@ -353,33 +336,27 @@ def _cmd_solve(args) -> Report:
     A = game.switching_matrix(g, args.mode)
     B = game.switching_matrix(h, "open")
     m, n = g.vertex_count, h.vertex_count
-    ones = (1,) * (m * n)  # vec of the all-on configuration
-
-    def solve_and_check(A, B):
-        x, nu, y = gfmat.solve_system(gfmat.sylvester_operator(A, B), ones)
-        # The check builds its own L.  A and B are symmetric, so L is too,
-        # and a null vector y of L with y . ones = 1 proves the all-on
-        # configuration is outside L's column space.
-        L = gfmat.sylvester_operator(A, B)
-        if x is not None:
-            ok = L.mul_vec(x) == ones
-        else:
-            ok = y is not None and not any(L.mul_vec(y)) and sum(y) % 2 == 1
-        return x, nu, "ok" if ok else "mismatch"
-
-    solved = _oracle(A, B, args.max_oracle, solve_and_check)
     row = {"g": args.g, "h": args.h, "mode": args.mode, "m": m, "n": n, "config": "all-on"}
-    if solved == "skipped":
+    if m * n > _oracle_cap(args, odd_p_elimination=False):
         cells = ("solvable", "presses", "solution_exponent", "oracle_match")
         row.update(dict.fromkeys(cells, "skipped"))
+        return Report(args.command_echo, results=[row])
+    ones = (1,) * (m * n)  # vec of the all-on configuration
+    x, nu, y = gfmat.solve_system(gfmat.sylvester_operator(A, B), ones)
+    # The check builds its own L.  A and B are symmetric, so L is too, and a
+    # null vector y of L with y . ones = 1 proves the all-on configuration is
+    # outside L's column space.
+    L = gfmat.sylvester_operator(A, B)
+    if x is not None:
+        ok = L.mul_vec(x) == ones
     else:
-        x, nu, verdict = solved
-        row.update(
-            solvable="yes" if x is not None else "no",
-            presses="/".join(_presses_string(x[i::m]) for i in range(m)) if x is not None else "-",
-            solution_exponent=nu if x is not None else "-",
-            oracle_match=verdict,
-        )
+        ok = y is not None and not any(L.mul_vec(y)) and sum(y) % 2 == 1
+    row.update(
+        solvable="yes" if x is not None else "no",
+        presses="/".join(_presses_string(x[i::m]) for i in range(m)) if x is not None else "-",
+        solution_exponent=nu if x is not None else "-",
+        oracle_match="ok" if ok else "mismatch",
+    )
     return Report(args.command_echo, results=[row])
 
 
@@ -403,21 +380,25 @@ _SWEEP_FAMILIES = {
 
 
 def _sweep_pairs(target: str, seed: int, p: int):
-    """Expand a sweep target into (gspec, hspec, G, H, extra) tuples.
+    """Expand a sweep target into (gspec, hspec, G, H, cells) tuples; cells lead the row.
 
-    A family's graphs are all built, and checked against the formula cap at
-    p, before the first pair: an over-cap family is refused before any row
-    is computed.  Random graphs have at most RANDOM_MAX_VERTICES vertices.
+    A family's members are checked against the formula cap at p as they are
+    named, and none is built until all are named: an over-cap family is
+    refused at its first member over the cap, before any graph is built or
+    any row computed.  Random graphs have at most RANDOM_MAX_VERTICES
+    vertices; a random pair's cells are its index and the seed.
     """
     kind, _, arg = target.partition(":")
     kind = kind.strip().lower()
     if kind in _SWEEP_FAMILIES:
         family, default = _SWEEP_FAMILIES[kind]
         lo, hi = _parse_range(arg, default, kind)
-        specs = [f"{family}:{v}" for v in range(lo, hi + 1) if kind != "stars" or v % 2]
+        specs = []
+        for v in range(lo, hi + 1):
+            if kind != "stars" or v % 2:
+                _check_cap(v, p)  # the member has v vertices
+                specs.append(f"{family}:{v}")
         graphs = [game.build_family(spec) for spec in specs]
-        for g in graphs:
-            _check_cap(g, p)
         for gspec, g in zip(specs, graphs):
             for hspec, h in zip(specs, graphs):
                 yield gspec, hspec, g, h, {}
@@ -433,7 +414,7 @@ def _sweep_pairs(target: str, seed: int, p: int):
             m = rng.randint(1, RANDOM_MAX_VERTICES)
             g = game.random_graph(n, rng)
             h = game.random_graph(m, rng)
-            yield f"random[{i}].g(n={n})", f"random[{i}].h(n={m})", g, h, {"pair": i}
+            yield f"random[{i}].g(n={n})", f"random[{i}].h(n={m})", g, h, {"pair": i, "seed": seed}
     else:
         raise GraphParseError(
             f"unknown sweep target {target!r} "
@@ -445,11 +426,10 @@ def _sweep(args, mode: str, p: int, target: str) -> Report:
     randomized = target.partition(":")[0] == "random"
     report = Report(command=args.command_echo, seed=args.seed if randomized else None)
     memo: dict = {}
-    for gspec, hspec, g, h, extra in _sweep_pairs(target, args.seed, p):
-        if randomized:
-            extra = {**extra, "seed": args.seed}
+    cap = _oracle_cap(args, odd_p_elimination=p != 2)
+    for gspec, hspec, g, h, cells in _sweep_pairs(target, args.seed, p):
         fa, fb = _factor(memo, g, mode, p), _factor(memo, h, "open", p)
-        report.results.append(_product_row(gspec, hspec, fa, fb, mode, p, args.max_oracle, extra))
+        report.results.append({**cells, **_product_row(gspec, hspec, fa, fb, mode, p, cap)})
     return report
 
 
@@ -536,6 +516,7 @@ def _verify_example_star_path(args) -> Report:
         "multiplicity_swapped",
     ]
     memo: dict = {}
+    cap = _oracle_cap(args, odd_p_elimination=False)
     paths = {}  # m -> (summary, GF(2) nullity, multiplicity of x in c_path)
     for m in range(1, 10):
         f = _factor(memo, game.path_graph(m), "open", 2)
@@ -545,7 +526,9 @@ def _verify_example_star_path(args) -> Report:
         star = _factor(memo, game.star_graph(n), "open", 2)
         for m, (path, nu_nullity, nu_mult) in paths.items():
             value = formulas.nullity_snf_product(star.snf, path.snf)
-            oracle = _oracle(star.matrix, path.matrix, args.max_oracle)
+            oracle = "skipped"
+            if n * m <= cap:
+                oracle = formulas.oracle_nullity(star.matrix, path.matrix, max_dim=cap)
             report.results.append(
                 {
                     "n": n,
@@ -588,7 +571,7 @@ _HANDLERS = {
     "charpoly": _cmd_charpoly,
     "snf": _cmd_snf,
     "nullity": _cmd_nullity,
-    "bound": lambda args: _cmd_nullity(args, charpolys=True),
+    "bound": _cmd_nullity,
     "solve": _cmd_solve,
     "counts": _cmd_counts,
     "sweep": lambda args: _sweep(args, args.mode, args.p, args.target),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
@@ -132,30 +132,28 @@ def random_graph(n: int, rng: random.Random) -> Graph:
 _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
 
 
-def build_family(spec: str) -> Graph:
-    """Build a graph from a family spec.
-
-    Accepted: path:n, cycle:n, star:n, complete:n, grid:MxN, petersen,
-    file:PATH.  star:n is the n-vertex star (center plus n-1 leaves);
-    grid:MxN is the product of the M- and N-vertex paths.
-    """
+def _parse_family(spec: str) -> tuple[int | None, Callable[[], Graph]]:
+    """A family spec's vertex count and a builder of its graph; the count is
+    None for file:PATH, whose count comes with its edges.  Raises
+    GraphParseError for a malformed spec."""
     kind, _, arg = spec.strip().partition(":")
     kind = kind.strip().lower()
     if kind == "petersen":
         if arg:
             raise GraphParseError("petersen takes no argument")
-        return petersen_graph()
+        return 10, petersen_graph
     if kind == "file":
         if not arg:
             raise GraphParseError("file:PATH needs a path")
-        return read_graph_file(arg)
+        return None, lambda: read_graph_file(arg)
     if kind == "grid":
         m = _GRID_RE.match(arg.strip())
         if not m:
             raise GraphParseError(f"malformed grid spec {spec!r} (want grid:MxN)")
-        if min(map(int, m.groups())) < 1:
+        rows, cols = map(int, m.groups())
+        if min(rows, cols) < 1:
             raise GraphParseError("grid:MxN needs M, N >= 1")
-        return cartesian_product(*(path_graph(int(k)) for k in m.groups()))
+        return rows * cols, lambda: cartesian_product(path_graph(rows), path_graph(cols))
     builders = {
         "path": path_graph,
         "cycle": cycle_graph,
@@ -166,7 +164,25 @@ def build_family(spec: str) -> Graph:
         raise GraphParseError(f"unknown graph family {spec!r}")
     if not arg.strip().isdigit():
         raise GraphParseError(f"malformed graph spec {spec!r} (want {kind}:n)")
-    return builders[kind](int(arg))
+    n = int(arg)
+    return n, lambda: builders[kind](n)
+
+
+def family_order(spec: str) -> int | None:
+    """The vertex count of ``build_family(spec)``, read off the spec with no
+    graph built; None for file:PATH."""
+    return _parse_family(spec)[0]
+
+
+def build_family(spec: str) -> Graph:
+    """Build a graph from a family spec.
+
+    Accepted: path:n, cycle:n, star:n, complete:n, grid:MxN, petersen,
+    file:PATH.  star:n is the n-vertex star (center plus n-1 leaves);
+    grid:MxN is the product of the M- and N-vertex paths.  ``family_order``
+    reads the vertex count with the same parse, before any graph is built.
+    """
+    return _parse_family(spec)[1]()
 
 
 def parse_graph_text(text: str, source: str = "<string>") -> Graph:

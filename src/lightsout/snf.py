@@ -32,14 +32,15 @@ class SnfResult:
     and ``factors`` holds the others, in order and monic, in
     ``gfpoly.poly_ops(field)``'s working form.  A Smith form result builds its
     Poly ``invariant_factors`` on first read (``len`` reads none); one built
-    from Poly keeps them.  Immutable; ``==``, ``hash`` and ``repr`` read the
-    Poly factors only.
+    from Poly keeps them, and raises as ``smith_normal_form`` does for an
+    entry that is not a Poly or for entries over different fields.
+    Immutable; ``==``, ``hash`` and ``repr`` read the Poly factors only.
     """
 
     __slots__ = ("field", "ones", "factors", "_polys")
 
     def __init__(self, invariant_factors: tuple[Poly, ...]):
-        field = invariant_factors[0].p if invariant_factors else None
+        field = _field((invariant_factors,))
         factors = tuple([poly_ops(field).from_poly(f) for f in invariant_factors if f.degree])
         self._fill(field, len(invariant_factors) - len(factors), factors, invariant_factors)
 

@@ -189,6 +189,35 @@ class TestExitCodes:
             f"error: factor graph has {n} vertices, over the formula cap of {cap} at p = {p}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["snf", "--g", "path:5000"], 5000),
+            (["charpoly", "--g", "complete:5000"], 5000),
+            (["nullity", "--g", "grid:65x65", "--h", "path:2", "--max-oracle", "0"], 4225),
+            (["sweep", "paths:4094-4200"], 4097),
+        ],
+    )
+    def test_over_cap_family_spec_builds_no_graph(self, argv, n, capsys, monkeypatch):
+        # the size is read off the spec: a sweep names its members up to the
+        # first one over the cap and builds none of them
+        def refuse(*_):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(game.Graph, "from_edges", refuse)
+        assert cli.run(argv) == (2, None)
+        assert capsys.readouterr().err == (
+            f"error: factor graph has {n} vertices, over the formula cap of 4096 at p = 2\n"
+        )
+
+    def test_over_cap_file_spec_is_refused_once_read(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("4097\n0 1\n", encoding="utf-8")
+        assert cli.run(["snf", "--g", f"file:{path}"]) == (2, None)
+        assert capsys.readouterr().err == (
+            "error: factor graph has 4097 vertices, over the formula cap of 4096 at p = 2\n"
+        )
+
     def test_formula_cap_admits_a_factor_at_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "FORMULA_VERTEX_CAP", 9)
         monkeypatch.setattr(cli, "FORMULA_VERTEX_CAP_ODD_P", 8)
@@ -874,6 +903,13 @@ class TestOutputs:
             ("charpoly --g grid:6x6 --p 5", "1af46e962bf8ed30ff32a6556e5dd46611b3ea9ced6c17971d5ecf2142200f86"),
             ("bound --g petersen --h cycle:5 --p 5 --mode closed", "01acf7de87aaf4b6c86062deb07a68db09a87dbc11cfbc39d4b602baa39709a2"),
             ("snf --g grid:6x6 --p 3", "c266ba6e442b5f0bf979708ebb9eddbfe33612878d71b81c2edf18f568234116"),
+            ("charpoly --g path:64", "696f5a81d98e698cdb942428e0a7f8cdcd746f25a3f83d83dd007a5a28db95a0"),
+            ("charpoly --g grid:5x13 --p 3", "f6c31cf8e2af91378cc91baca22a950d9009fd6bfb294a37d22cc1f22d4f352d"),
+            ("solve --g path:64 --h path:64", "5bda73abdfe4542ba491a5393f0f4d579f32deccd623cc8395f1aa7e97db3b7f"),
+            ("solve --g path:65 --h path:64", "ea6cc50a3dbcba95dade325bc3772d645d57a7dccd35c91129ccca0359bd3020"),
+            ("verify example2 --max-oracle 10", "086a7d8d8f2400c660da3f00a64d7c914d1d05cda00c85f987f5fd60ddf0c2e3"),
+            ("sweep random:50 --seed 7", "7a831d426f658b7a24626de803fcd8d611ebf4b18331d416850ec3694b50d4d0"),
+            ("bound --g petersen --h path:4", "c1c241677386d60526244a266c0a90678d94eb2d8847540945d5039e3a14c42e"),
         ],
     )
     def test_json_report_bytes_are_pinned(self, argv, digest, capsys):

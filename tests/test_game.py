@@ -52,6 +52,15 @@ class TestFamilies:
             with pytest.raises(GraphParseError):
                 build_family(bad)
 
+    def test_family_order_reads_the_vertex_count_off_the_spec(self):
+        for spec in ("petersen", "path:1", "cycle:5", "star:7", "complete:4", " GRID:3x4"):
+            assert game.family_order(spec) == build_family(spec).vertex_count
+        assert game.family_order("file:/nonexistent/graph.txt") is None
+        assert game.family_order("path:10000000000") == 10**10
+        for bad in ("path", "path:x", "grid:3", "petersen:5", "torus:3", "file:"):
+            with pytest.raises(GraphParseError):
+                game.family_order(bad)
+
     def test_cycle_minimum(self):
         with pytest.raises(GraphParseError):
             build_family("cycle:2")

@@ -535,6 +535,16 @@ class TestCharpolyRoutes:
         with pytest.raises(ValueError):
             snf.charpoly_from_snf(empty)
 
+    def test_a_result_takes_its_factors_from_one_field(self):
+        # the field was read off the first factor alone: (x over GF(2),
+        # 2x^2 + 1 over GF(3)) gave factors (2, 1) and a charpoly of x
+        with pytest.raises(ValueError, match=r"field mismatch: GF\(2\) vs GF\(3\)"):
+            snf.SnfResult((P("x"), P("2*x^2 + 1", 3)))
+        with pytest.raises(ValueError, match=r"field mismatch"):
+            snf.SnfResult((Poly.one(3), P("x"), P("x^2")))
+        with pytest.raises(TypeError, match="must be Poly, not int"):
+            snf.SnfResult((P("x"), 1))
+
     def test_charpoly_from_snf_rejects_another_field(self):
         s = snf.SnfResult((P("x + 1"),))
         assert snf.charpoly_from_snf(s, 2) == P("x + 1")
