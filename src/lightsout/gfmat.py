@@ -12,11 +12,12 @@ equality behave identically for every modulus.
 generators and their k x k relation matrix R (Keller-Gehrig, TCS 36, 1985;
 Storjohann, ISSAC 1998) in O(n^2) row operations.  The invariant factors
 of xI - A are n - k ones followed by those of R: k is mostly 1-4 for
-random graphs and m on an m x m grid.
+random graphs and m on an m x m grid.  ``solve_sylvester`` chases the
+lights along the same pass's basis: a km-row elimination, not an mn-row one.
 
 Packed rows are read only where CLI verbs and brute-force oracles loop:
-construction, entry access, elimination, the Krylov pass,
-``sylvester_operator`` and ``mul_vec`` (over residue rows the exhaustive
+construction, entry access, elimination, the Krylov pass and the light
+chase, ``sylvester_operator`` and ``mul_vec`` (over residue rows the exhaustive
 press-set checks ran about 15 times slower).  ``+``, ``-``, ``@``,
 ``transpose``, ``inverse`` and ``kronecker`` are written once, over residue
 rows, through ``_of_rows``.
@@ -27,6 +28,7 @@ its arguments, so matrices can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import operator
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
@@ -249,19 +251,24 @@ def _null_vector(rows, pivots: list[int], f: int, ncols: int, p: int) -> tuple[i
     filled right to left.  A pivot row has a 1 in its pivot column and 0s
     left of it, so the pivot entries right of f stay 0.
     """
+    if p == 2:
+        return _unpack_bits(_null_bits(rows, pivots, f), ncols)
     k = bisect_left(pivots, f)
     backward = list(zip(pivots[:k], rows[:k]))[::-1]  # pivots left of f, right to left
-    if p == 2:
-        xbits = 1 << f
-        for c, row in backward:
-            if (row & xbits).bit_count() & 1:
-                xbits |= 1 << c
-        return _unpack_bits(xbits, ncols)
     x = [0] * ncols
     x[f] = 1
     for c, row in backward:
         x[c] = -sum(row[j] * x[j] for j in range(c + 1, f + 1)) % p
     return tuple(x)
+
+
+def _null_bits(rows, pivots: list[int], f: int) -> int:
+    """``_null_vector`` over GF(2), packed."""
+    xbits = 1 << f
+    for c, row in reversed(list(zip(pivots[: bisect_left(pivots, f)], rows))):
+        if (row & xbits).bit_count() & 1:
+            xbits |= 1 << c
+    return xbits
 
 
 def solve_system(M: PrimeFieldMatrix, b: Sequence[int]):
@@ -333,6 +340,13 @@ def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix._of_rows(rows, M.cols * N.cols, M.p)
 
 
+def _spread_columns(rows, cols: int, stride: int) -> list[int]:
+    """Each column j of the packed rows as an int, entry l at bit l * stride."""
+    s = "".join(format(row, f"0{cols}b")[::-1] for row in rows)  # s[l*cols + j] is entry (l, j)
+    spread = (("0" * (stride - 1)).join(s[j::cols]) if stride > 1 else s[j::cols] for j in range(cols))
+    return [int(column[::-1] or "0", 2) for column in spread]
+
+
 def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """Matrix of X -> AX - XB on column-stacked X, i.e. kron(I, A) - kron(B^T, I).
 
@@ -373,6 +387,16 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
     return PrimeFieldMatrix._packed(m * n, p, data)
 
 
+def _xor_rows(rows, u: int) -> int:
+    """The XOR of rows[i] over the set bits i of u: u times the matrix of packed rows."""
+    w = 0
+    while u:
+        low = u & -u
+        w ^= rows[low.bit_length() - 1]
+        u ^= low
+    return w
+
+
 def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
     """(n - k, R) for GF(p)^n as a GF(p)[x]-module, x acting by v -> vA.
 
@@ -386,18 +410,17 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
     i the coefficient of x^i, sliced straight out of the packed tags; at odd
     p they are Poly.  Raises ValueError for a non-square matrix.
     """
+    return A.rows - len(R := _krylov(A)[0]), R
+
+
+def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
+    """(R, starts, vectors, pivots): kept v_i A^t from starts[i]; pivots[c] (tag included) leads at c."""
     if not A.is_square:
         raise ValueError("Krylov relations require a square matrix")
     n, p, rows = A.rows, A.p, A._data
     pivots: list = [None] * n  # column -> the basis row whose first nonzero entry, 1, is there
     if p == 2:
-        def times_a(u):
-            w = 0
-            while u:
-                low = u & -u
-                w ^= rows[low.bit_length() - 1]
-                u ^= low
-            return w
+        times_a = functools.partial(_xor_rows, rows)
 
         def reduce(u, m):  # the relation's packed tag, or None after adding a basis row
             w = u | 1 << (n + m)
@@ -418,12 +441,13 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
         def reduce(u, m):
             w = u + [0] * m + [1]
             return None if _reduce_modp(w, pivots, n, p) else [a % p for a in w[n:]]
-    starts, tags, m = [], [], 0
+    starts, tags, vectors, m = [], [], [], 0
     for e in range(n):
         if m == n:
             break
         u, start = 1 << e if p == 2 else [int(j == e) for j in range(n)], m
         while (tag := reduce(u, m)) is None:
+            vectors.append(u)
             m, u = m + 1, times_a(u)
         if m > start:
             starts.append(start)
@@ -437,4 +461,91 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
                 R[i][j] = (tag >> lo) & ((1 << (hi - lo)) - 1)
             elif any(coeffs := tag[lo:hi]):
                 R[i][j] = Poly(coeffs, p)
-    return n - len(R), R
+    return R, starts, vectors, pivots
+
+
+def _transpose_bits(v: int, rows: int, cols: int) -> int:
+    """The packed vec of M^T, for v the packed vec of a rows x cols matrix M."""
+    s = format(v, "b")[::-1].ljust(rows * cols, "0")  # s[j*rows + i] is M's entry (i, j)
+    return int("".join(s[i::rows] for i in range(rows))[::-1] or "0", 2)
+
+
+def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
+    """``solve_system(sylvester_operator(A, B), b)`` for symmetric A and B over GF(2):
+    the same x and nullity and, without an x, a null vector y of L with y . b = 1.
+    Raises ValueError otherwise.
+
+    Light chasing (Anderson and Feil, Math. Mag. 71, 1998; Sutner, TCS 230, 2000)
+    along B's Krylov basis K, or A's through B X^T + X^T A = C^T when that makes
+    fewer rows.  Y = X K^T has columns y_(i,t) = X B^t v_i^T, and AX + XB = C gives
+    y_(i,t+1) = c_(i,t) + A y_(i,t), c = C K^T, so z_i = y_(i,0) fixes block i and
+    B's relations leave the km rows sum_j R_ij(A) z_j = e_i, e_i those sums over
+    the chase from z = 0.  In echelon form by highest bit the lifted kernel's top
+    bits are L's free columns, and clearing x there gives the elimination's x.  A
+    factor of order over the square of the other's takes L's elimination: its
+    Krylov pass costs more.
+    """
+    if A.p != 2 or B.p != 2 or any(_spread_columns(M._data, M.cols, 1) != M._data for M in (A, B)):
+        raise ValueError("light chasing needs symmetric A and B over GF(2)")
+    m, n = A.rows, B.rows
+    if len(b) != m * n:
+        raise ValueError(f"dimension mismatch: {m * n} rows vs {len(b)} entries")
+    if max(m, n) > min(m, n) ** 2:
+        return solve_system(sylvester_operator(A, B), b)
+    bits, krylov_a, krylov_b = _pack_bits(b), _krylov(A), _krylov(B)
+    target, (R, starts, vectors, pivots) = bits, krylov_b
+    if transposed := len(krylov_a[0]) * n < len(krylov_b[0]) * m:
+        A, m, n, target = B, n, m, _transpose_bits(bits, m, n)
+        R, starts, vectors, pivots = krylov_a
+    rows, mask, blocks = A._data, (1 << m) - 1, list(zip(starts, starts[1:] + [n]))
+    reduced = [0] * n  # the pass's basis rows reduced to the identity: K^-1 from bit n on
+    for col in reversed(range(n)):
+        reduced[col] = pivots[col] ^ _xor_rows(reduced, pivots[col] & ((1 << n) - 1) ^ 1 << col)
+    # X = Y K^-T: X's column col sums Y's columns s at K^-1's 1s (col, s)
+    spread = _spread_columns([row >> n for row in reduced], n, m)
+    c = [_xor_rows([target >> (j * m) & mask for j in range(n)], v) for v in vectors]
+
+    def chase(y, lo, hi, c):  # y_(i,t) for t = 0 .. hi - lo, the block of vectors lo .. hi - 1
+        ys = [y]
+        for s in range(lo, hi):
+            ys.append(c[s] ^ _xor_rows(rows, ys[-1]))
+        return ys
+
+    def lift(z, c):  # vec X of the chase from z; a block with z_i = 0 and c = 0 stays 0
+        x = 0
+        for j, (lo, hi) in enumerate(blocks):
+            if (y := z >> (j * m) & mask) or any(c[lo:hi]):
+                for y_t, s in zip(chase(y, lo, hi - 1, c), range(lo, hi)):
+                    x ^= y_t * spread[s]
+        return _transpose_bits(x, m, n) if transposed else x
+
+    # powers[t] holds A^t's rows, row r at bit r*m: row r of A^(t+1) sums A's rows at A^t's 1s (r, s)
+    ones, powers = sum(1 << (r * m) for r in range(m)), [sum(1 << (r * m + r) for r in range(m))]
+    for _ in range(max((hi - lo for lo, hi in blocks), default=0)):  # deg R_ii
+        nxt = 0
+        for s, row in enumerate(rows):
+            nxt ^= (powers[-1] >> s & ones) * row
+        powers.append(nxt)
+    km, w, aug = len(R) * m, [chase(0, lo, hi, c) for lo, hi in blocks], []
+    for i, relation in enumerate(R):
+        values = [_xor_rows(powers, f) for f in relation[: i + 1]]  # the R_ij(A)
+        e = functools.reduce(operator.xor, map(_xor_rows, w, relation[: i + 1]), 0)  # e_i
+        for r in range(m):
+            row = sum((v >> (r * m) & mask) << (j * m) for j, v in enumerate(values))
+            aug.append(row | (e >> r & 1) << km)
+    echelon, pivot_columns = _echelon(aug, km + 1, 2, reduced=False)
+    taken = set(pivot_columns)
+    nulls = [_null_bits(echelon, pivot_columns, f) for f in range(km + 1) if f not in taken]
+    top: dict = {}  # highest bit -> L's null vector
+    for v in (lift(z, [0] * n) for z in nulls if not z >> km):
+        while (f := v.bit_length() - 1) in top:
+            v ^= top[f]
+        top[f] = v
+    if km in taken:
+        y = next((v for v in top.values() if (v & bits).bit_count() & 1), None)
+        return None, len(top), None if y is None else _unpack_bits(y, m * n)
+    x = lift(nulls[-1] ^ 1 << km, c)
+    for f in sorted(top, reverse=True):
+        if x >> f & 1:
+            x ^= top[f]
+    return _unpack_bits(x, m * n), len(top), None

@@ -257,11 +257,11 @@ def _off_by_one_where(original, wrong):
     return lambda A, B, **kw: original(A, B, **kw) + bool(wrong(A, B))
 
 
-def _first_press_flipped(solve_system):
-    """gfmat.solve_system whose solution has its first entry flipped."""
+def _first_press_flipped(solve_sylvester):
+    """gfmat.solve_sylvester whose solution has its first entry flipped."""
 
-    def tampered(M, b):
-        x, nullity, certificate = solve_system(M, b)
+    def tampered(A, B, b):
+        x, nullity, certificate = solve_sylvester(A, B, b)
         return (1 - x[0], *x[1:]), nullity, certificate
 
     return tampered
@@ -272,7 +272,7 @@ VERDICT_CASES = {
     "solve": (
         ["solve", "--g", "path:3", "--h", "path:5", "--mode", "closed"],
         gfmat,
-        "solve_system",
+        "solve_sylvester",
         _first_press_flipped,
         lambda row: True,
     ),
@@ -522,6 +522,26 @@ class TestCommands:
         row = payload["results"][0]
         assert row["solvable"] == row["presses"] == row["solution_exponent"] == "skipped"
 
+    def test_solve_product_over_cap_builds_only_file_graphs(self, tmp_path, capsys, monkeypatch):
+        # a family's order is read off its spec: path:10000000000 is never built
+        built, build = [], game.build_family
+
+        def file_graphs_only(spec):
+            built.append(spec)
+            assert spec.startswith("file:"), f"{spec} built over the cap"
+            return build(spec)
+
+        monkeypatch.setattr(game, "build_family", file_graphs_only)
+        monkeypatch.setattr(game, "switching_matrix", None)
+        spec = _write_graph(tmp_path / "g.txt", game.path_graph(3))
+        for g in ("path:2", spec):
+            argv = ["solve", "--g", g, "--h", "path:10000000000", "--max-oracle", "4"]
+            code, report = cli.run(argv)
+            assert code == 0 and report.results[0]["oracle_match"] == "skipped"
+            assert report.results[0]["n"] == 10_000_000_000
+        capsys.readouterr()
+        assert built == [spec]
+
     def test_solve_product_over_cap_is_noted(self, capsys):
         code, _, payload = run_json(
             ["solve", "--g", "path:3", "--h", "path:3", "--max-oracle", "4"], capsys
@@ -599,7 +619,7 @@ class TestSingleSolve:
 
 
 class TestProductSolve:
-    """solve --g --h: one elimination of [L | vec C], checked on a second build of L."""
+    """solve --g --h: a Krylov chase along one factor, checked on a build of L."""
 
     @pytest.mark.parametrize("mode", ["open", "closed"])
     def test_path_product_presses_are_the_grid_presses(self, mode, capsys):
@@ -622,7 +642,8 @@ class TestProductSolve:
 
     @pytest.mark.parametrize("g, h", [("petersen", "cycle:7"), ("path:3", "path:3")])
     def test_one_elimination_and_two_operator_builds(self, g, h, capsys, monkeypatch):
-        calls = Counter()
+        # the one elimination is the chase's k*m rows, fewer than L's m*n
+        calls, echelon_rows = Counter(), []
         for module, name in (
             (_gf2kernel, "echelon_bits"),
             (gfmat, "sylvester_operator"),
@@ -631,13 +652,17 @@ class TestProductSolve:
 
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "echelon_bits":
+                    echelon_rows.append(len(args[0]))
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         code, report = cli.run(["solve", "--g", g, "--h", h])
         capsys.readouterr()
-        assert code == 0 and report.results[0]["oracle_match"] == "ok"
+        row = report.results[0]
+        assert code == 0 and row["oracle_match"] == "ok"
         assert calls == {"echelon_bits": 1, "sylvester_operator": 2}
+        assert echelon_rows[0] < row["m"] * row["n"]
 
     def test_unsolvable_product_reads_no_with_its_certificate_checked(self, capsys):
         code, _, payload = run_json(["solve", "--g", "path:1", "--h", "path:1"], capsys)
@@ -655,13 +680,13 @@ class TestProductSolve:
         ],
     )
     def test_a_tampered_certificate_reads_mismatch(self, side, tamper, capsys, monkeypatch):
-        original = gfmat.solve_system
+        original = gfmat.solve_sylvester
 
-        def tampered(M, b):
-            x, nullity, certificate = original(M, b)
+        def tampered(A, B, b):
+            x, nullity, certificate = original(A, B, b)
             return x, nullity, tamper(certificate)
 
-        monkeypatch.setattr(gfmat, "solve_system", tampered)
+        monkeypatch.setattr(gfmat, "solve_sylvester", tampered)
         code, report = cli.run(["solve", "--g", f"path:{side}", "--h", f"path:{side}"])
         capsys.readouterr()
         row = report.results[0]

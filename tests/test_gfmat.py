@@ -15,7 +15,7 @@ from helpers import (
     random_modp_matrix,
     random_symmetric01,
 )
-from lightsout import game, gfmat
+from lightsout import _gf2kernel, game, gfmat
 from lightsout.gfmat import PrimeFieldMatrix
 
 P2 = PrimeFieldMatrix([[0, 1], [1, 0]], 2)
@@ -544,6 +544,95 @@ class TestSylvesterOperator:
             before = gfmat.rank_nullity(gfmat.sylvester_operator(A, B)).nullity
             after = gfmat.rank_nullity(gfmat.sylvester_operator(A2, B2)).nullity
             assert before == after
+
+
+class TestSolveSylvester:
+    """The Krylov chase against the m*n-row elimination of L it replaces."""
+
+    @staticmethod
+    def check(A, B, b) -> bool:
+        """Assert the chase's answer is the elimination's; True when unsolvable."""
+        L = gfmat.sylvester_operator(A, B)
+        x, nullity, y = gfmat.solve_sylvester(A, B, b)
+        want_x, want_nullity, _ = gfmat.solve_system(L, b)
+        assert (x, nullity) == (want_x, want_nullity)
+        if x is not None:
+            assert y is None
+            return False
+        assert not any(L.mul_vec(y)) and sum(a * v for a, v in zip(y, b)) % 2 == 1
+        return True
+
+    def test_random_pairs_in_both_modes(self):
+        rng = random.Random(2901)
+        unsolvable = chased = 0
+        for _ in range(500):
+            m, n = rng.randint(2, 9), rng.randint(2, 9)
+            chased += max(m, n) <= min(m, n) ** 2  # the others eliminate L
+            g, h = game.random_graph(m, rng), game.random_graph(n, rng)
+            for mode in game.MODES:
+                A, B = game.switching_matrix(g, mode), game.switching_matrix(h, "open")
+                for b in ((1,) * (m * n), [rng.getrandbits(1) for _ in range(m * n)]):
+                    unsolvable += self.check(A, B, b)
+        assert chased >= 400 and unsolvable > 100
+
+    def test_factors_with_many_krylov_generators_along_either_factor(self, tmp_path, monkeypatch):
+        def union(name, *specs):  # the disjoint union, through a file: spec
+            n, edges = 0, []
+            for g in map(game.build_family, specs):
+                edges += [(u + n, v + n) for u, v in sorted(g.edges)]
+                n += g.vertex_count
+            path = tmp_path / name
+            path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+            return f"file:{path}"
+
+        specs = [
+            "star:5", "star:8", "complete:4", "complete:7", "petersen", "grid:3x3",
+            "grid:2x4", "path:1", "cycle:6",
+            union("paths.txt", "path:3", "path:3"),
+            union("mixed.txt", "cycle:4", "star:3", "path:1"),
+            union("edgeless.txt", "path:1", "path:1", "path:1"),
+            union("empty.txt"),
+        ]
+        matrices = [
+            game.switching_matrix(game.build_family(s), mode) for s in specs for mode in game.MODES
+        ]
+        sizes = []
+        echelon = _gf2kernel.echelon_bits
+
+        def counted(rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return echelon(rows, *args, **kwargs)
+
+        monkeypatch.setattr(_gf2kernel, "echelon_bits", counted)
+        rng = random.Random(2903)
+        routes = set()
+        unsolvable = 0
+        for A in matrices:
+            for B in matrices:
+                m, n = A.rows, B.rows
+                for b in ((1,) * (m * n), [rng.getrandbits(1) for _ in range(m * n)]):
+                    unsolvable += self.check(A, B, b)
+                # one elimination: of k * (other order) rows along the factor that makes
+                # fewer, or of L's m * n when one order is over the other's square
+                ka, kb = (len(gfmat.krylov_relations(M)[1]) for M in (A, B))
+                route = "L" if max(m, n) > min(m, n) ** 2 else "A" if ka * n < kb * m else "B"
+                routes.add(route)
+                sizes.clear()
+                gfmat.solve_sylvester(A, B, (1,) * (m * n))
+                assert sizes == [{"L": m * n, "A": ka * n, "B": kb * m}[route]], (m, n)
+        assert routes == {"A", "B", "L"} and unsolvable
+
+    def test_rejects_odd_p_asymmetric_factors_and_a_wrong_length(self):
+        for p in (3, 5):
+            swap = PrimeFieldMatrix([[0, 1], [1, 0]], p)
+            for A, B in ((swap, swap), (P2, swap)):
+                with pytest.raises(ValueError):
+                    gfmat.solve_sylvester(A, B, (1,) * 4)
+        asymmetric = PrimeFieldMatrix([[0, 1], [0, 0]], 2)
+        with pytest.raises(ValueError):
+            gfmat.solve_sylvester(asymmetric, P3, (1,) * 6)
+        with pytest.raises(ValueError):
+            gfmat.solve_sylvester(P2, P3, (1,) * 5)
 
 
 class TestRankProfile:
