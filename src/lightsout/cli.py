@@ -8,14 +8,14 @@ product solve a check by substitution on a build of the operator) and, on
 product rows, ``bound_holds`` (gcd bound).  ``solve`` reads its press set and
 nullity off one ``gfmat.solve_system`` elimination of the switching matrix
 on one graph; on a product, ``gfmat.solve_sylvester`` gives the same answer,
-and a certificate when unsolvable, by a light chase along one factor (the
-Sylvester operator's elimination for a lopsided pair).  One step in ``run`` then copies
-each row that reads ``mismatch`` or ``violated`` into the violations, adds
-one note counting the rows with a cell skipped over the oracle cap, and
-exits 1 exactly when the violations are non-empty.  Usage errors (unknown
-flags, flags the verb does not read, malformed graph specs, unreadable or
-non-UTF-8 files, a non-prime --p, a negative --max-oracle, an unwritable
---csv path, a factor graph over the formula route's vertex cap) exit 2.
+and a certificate when unsolvable, by a light chase along one factor.  One
+step in ``run`` then copies each row that reads ``mismatch`` or ``violated``
+into the violations, adds one note counting the rows with a cell skipped
+over the oracle cap, and exits 1 exactly when the violations are non-empty.
+Usage errors (unknown flags, flags the verb does not read, malformed graph
+specs, unreadable or non-UTF-8 files, a non-prime --p, a negative
+--max-oracle, an unwritable --csv path, a factor graph over the formula
+route's vertex cap) exit 2.
 Any other exception is an internal fault and exits 3.  An operator larger
 than --max-oracle is never built (``solve --h`` builds only file: graphs
 first): its row is marked ``skipped`` in every verb; the default cap is

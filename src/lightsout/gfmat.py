@@ -341,7 +341,8 @@ def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
 
 
 def _spread_columns(rows, cols: int, stride: int) -> list[int]:
-    """Each column j of the packed rows as an int, entry l at bit l * stride."""
+    """Each column j of the packed rows as an int, entry l at bit l * stride:
+    at stride 1, the rows of the transpose, dense or sparse in the same time."""
     s = "".join(format(row, f"0{cols}b")[::-1] for row in rows)  # s[l*cols + j] is entry (l, j)
     spread = (("0" * (stride - 1)).join(s[j::cols]) if stride > 1 else s[j::cols] for j in range(cols))
     return [int(column[::-1] or "0", 2) for column in spread]
@@ -363,9 +364,7 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
     if p == 2:
         # Row j*m + i is A[i] placed at block j, minus B[l, j] at l*m + i for
         # each l: the latter is S_j << i with S_j the spread-out column j of B.
-        spread = [
-            sum(1 << (l * m) for l in range(n) if B._data[l] >> j & 1) for j in range(n)
-        ]
+        spread = _spread_columns(B._data, n, m)
         data = [
             (A._data[i] << (j * m)) ^ (spread[j] << i) for j in range(n) for i in range(m)
         ]
@@ -414,7 +413,8 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
 
 
 def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
-    """(R, starts, vectors, pivots): kept v_i A^t from starts[i]; pivots[c] (tag included) leads at c."""
+    """(R, starts, vectors, pivots): kept v_i A^t from starts[i], listed at p = 2
+    only; pivots[c] (tag included) leads at c."""
     if not A.is_square:
         raise ValueError("Krylov relations require a square matrix")
     n, p, rows = A.rows, A.p, A._data
@@ -447,7 +447,8 @@ def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
             break
         u, start = 1 << e if p == 2 else [int(j == e) for j in range(n)], m
         while (tag := reduce(u, m)) is None:
-            vectors.append(u)
+            if p == 2:  # only the light chase reads them; odd-p rows would double the pass's memory
+                vectors.append(u)
             m, u = m + 1, times_a(u)
         if m > start:
             starts.append(start)
@@ -481,17 +482,13 @@ def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
     y_(i,t+1) = c_(i,t) + A y_(i,t), c = C K^T, so z_i = y_(i,0) fixes block i and
     B's relations leave the km rows sum_j R_ij(A) z_j = e_i, e_i those sums over
     the chase from z = 0.  In echelon form by highest bit the lifted kernel's top
-    bits are L's free columns, and clearing x there gives the elimination's x.  A
-    factor of order over the square of the other's takes L's elimination: its
-    Krylov pass costs more.
+    bits are L's free columns, and clearing x there gives the elimination's x.
     """
     if A.p != 2 or B.p != 2 or any(_spread_columns(M._data, M.cols, 1) != M._data for M in (A, B)):
         raise ValueError("light chasing needs symmetric A and B over GF(2)")
     m, n = A.rows, B.rows
     if len(b) != m * n:
         raise ValueError(f"dimension mismatch: {m * n} rows vs {len(b)} entries")
-    if max(m, n) > min(m, n) ** 2:
-        return solve_system(sylvester_operator(A, B), b)
     bits, krylov_a, krylov_b = _pack_bits(b), _krylov(A), _krylov(B)
     target, (R, starts, vectors, pivots) = bits, krylov_b
     if transposed := len(krylov_a[0]) * n < len(krylov_b[0]) * m:
@@ -503,7 +500,8 @@ def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
         reduced[col] = pivots[col] ^ _xor_rows(reduced, pivots[col] & ((1 << n) - 1) ^ 1 << col)
     # X = Y K^-T: X's column col sums Y's columns s at K^-1's 1s (col, s)
     spread = _spread_columns([row >> n for row in reduced], n, m)
-    c = [_xor_rows([target >> (j * m) & mask for j in range(n)], v) for v in vectors]
+    columns = [target >> (j * m) & mask for j in range(n)]
+    c = [_xor_rows(columns, v) for v in vectors]
 
     def chase(y, lo, hi, c):  # y_(i,t) for t = 0 .. hi - lo, the block of vectors lo .. hi - 1
         ys = [y]
