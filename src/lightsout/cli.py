@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Verbs: charpoly, snf, nullity, bound, solve, counts, sweep, verify.
+Verbs: the keys of ``_VERBS``, which gives each verb's handler, help and the
+arguments it reads; the parser and ``run`` both read it.  verify's targets
+are the keys of ``_VERIFY_TARGETS``.
 A handler only builds its report's rows and notes.  Every comparison row
 carries its verdicts: ``oracle_match`` (a primary route against its oracle:
 the elimination oracle, the Berkowitz expansion for charpoly, or for a
@@ -143,7 +145,7 @@ def _format_table(rows: list[dict]) -> str:
 
 
 def _emit(report: Report, args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2))
@@ -381,6 +383,8 @@ _SWEEP_FAMILIES = {
     "paths": ("path", (2, 10)),
     "cycles": ("cycle", (3, 10)),
 }
+#: The sweep targets as the help and the unknown-target error name them.
+_SWEEP_TARGETS = ", ".join(f"{kind}[:LO-HI]" for kind in _SWEEP_FAMILIES) + " or random[:COUNT]"
 
 
 def _sweep_pairs(target: str, seed: int, p: int):
@@ -420,10 +424,7 @@ def _sweep_pairs(target: str, seed: int, p: int):
             h = game.random_graph(m, rng)
             yield f"random[{i}].g(n={n})", f"random[{i}].h(n={m})", g, h, {"pair": i, "seed": seed}
     else:
-        raise GraphParseError(
-            f"unknown sweep target {target!r} "
-            "(want stars[:LO-HI], paths[:LO-HI], cycles[:LO-HI] or random[:COUNT])"
-        )
+        raise GraphParseError(f"unknown sweep target {target!r} (want {_SWEEP_TARGETS})")
 
 
 def _sweep(args, mode: str, p: int, target: str) -> Report:
@@ -529,17 +530,14 @@ def _verify_example_star_path(args) -> Report:
     for n in (3, 5, 7, 9):
         star = _factor(memo, game.star_graph(n), "open", 2)
         for m, (path, nu_nullity, nu_mult) in paths.items():
-            value = formulas.nullity_snf_product(star.snf, path.snf)
-            oracle = "skipped"
-            if n * m <= cap:
-                oracle = formulas.oracle_nullity(star.matrix, path.matrix, max_dim=cap)
+            product = _product_row(f"star:{n}", f"path:{m}", star, path, "open", 2, cap)
             report.results.append(
                 {
                     "n": n,
                     "m": m,
-                    "oracle": oracle,
-                    "formula": value,
-                    "oracle_match": _match(oracle, value),
+                    "oracle": product["nullity_oracle"],
+                    "formula": product["nullity_formula"],
+                    "oracle_match": product["oracle_match"],
                     "nullity_as_written": _piecewise_star_path(m, nu_nullity),
                     "multiplicity_as_written": _piecewise_star_path(m, nu_mult),
                     "nullity_swapped": _piecewise_star_path(n, nu_nullity),
@@ -562,24 +560,12 @@ def _verify_example_star_path(args) -> Report:
     return report
 
 
-def _cmd_verify(args) -> Report:
-    kind, _, mode = args.target.partition("-")
-    if kind == "conjecture":
-        return _verify_conjecture(args, mode)
-    if kind == "lemma":
-        return _verify_lemma(args)
-    return _verify_example_star_path(args)
-
-
-_HANDLERS = {
-    "charpoly": _cmd_charpoly,
-    "snf": _cmd_snf,
-    "nullity": _cmd_nullity,
-    "bound": _cmd_nullity,
-    "solve": _cmd_solve,
-    "counts": _cmd_counts,
-    "sweep": lambda args: _sweep(args, args.mode, args.p, args.target),
-    "verify": _cmd_verify,
+#: Verify target -> its handler; the keys are the parser's choices.
+_VERIFY_TARGETS = {
+    "conjecture-open": lambda args: _verify_conjecture(args, "open"),
+    "conjecture-closed": lambda args: _verify_conjecture(args, "closed"),
+    "lemma": _verify_lemma,
+    "example2": _verify_example_star_path,
 }
 
 
@@ -594,8 +580,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-#: Options shared by several verbs; each verb takes only the ones it reads.
+#: Every argument a verb may read.  A key names its argument after its last
+#: colon; the part before tells apart two declarations of one name.
 _OPTIONS = {
+    "--g": dict(required=True, metavar="SPEC"),
+    "--h": dict(required=True, metavar="SPEC"),
+    "solve:--h": dict(metavar="SPEC", help="optional second factor (product game)"),
+    "sweep:target": dict(metavar="TARGET", help=_SWEEP_TARGETS),
+    "verify:target": dict(metavar="TARGET", choices=tuple(_VERIFY_TARGETS)),
     "--mode": dict(choices=game.MODES, default="open"),
     "--p": dict(type=int, default=2, metavar="PRIME"),
     "--seed": dict(type=int, default=1, metavar="N"),
@@ -604,6 +596,31 @@ _OPTIONS = {
         metavar="N",
         help="largest operator size (n * n for charpoly) an oracle will attempt "
         "(default 4096; 1024 for odd-p elimination)",
+    ),
+}
+
+#: Verb -> (handler, help, the _OPTIONS keys it reads in order).  The parser
+#: and ``run`` both read this table; every verb also takes --json and --csv.
+_VERBS = {
+    "charpoly": (_cmd_charpoly, "characteristic polynomial, two routes", "--g --mode --p --max-oracle"),
+    "snf": (_cmd_snf, "invariant factors of xI - A", "--g --mode --p"),
+    "nullity": (
+        _cmd_nullity, "product-operator nullity, formula vs oracle", "--g --h --mode --p --max-oracle"
+    ),
+    "bound": (
+        _cmd_nullity, "gcd-degree lower bound for a product pair", "--g --h --mode --p --max-oracle"
+    ),
+    "solve": (_cmd_solve, "press sets for the all-on configuration", "--g solve:--h --mode --max-oracle"),
+    "counts": (_cmd_counts, "rank/nullity exponents of the switching matrix", "--g --mode"),
+    "sweep": (
+        lambda args: _sweep(args, args.mode, args.p, args.target),
+        "formula/oracle/bound table over a family",
+        "sweep:target --mode --p --seed --max-oracle",
+    ),
+    "verify": (
+        lambda args: _VERIFY_TARGETS[args.target](args),
+        "run one of the verification suites",
+        "verify:target --seed --max-oracle",
     ),
 }
 
@@ -618,56 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(sp, *options):
-        for name in options:
-            sp.add_argument(name, **_OPTIONS[name])
+    for verb, (_, text, options) in _VERBS.items():
+        sp = sub.add_parser(verb, allow_abbrev=False, help=text)
+        for key in options.split():
+            sp.add_argument(key.rpartition(":")[2], **_OPTIONS[key])
         sp.add_argument("--json", action="store_true", help="emit the JSON report")
         sp.add_argument("--csv", metavar="PATH", help="also write the results as CSV")
-
-    sp = sub.add_parser("charpoly", allow_abbrev=False, help="characteristic polynomial, two routes")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp, "--mode", "--p", "--max-oracle")
-
-    sp = sub.add_parser("snf", allow_abbrev=False, help="invariant factors of xI - A")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp, "--mode", "--p")
-
-    sp = sub.add_parser("nullity", allow_abbrev=False, help="product-operator nullity, formula vs oracle")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    sp.add_argument("--h", required=True, metavar="SPEC")
-    common(sp, "--mode", "--p", "--max-oracle")
-
-    sp = sub.add_parser("bound", allow_abbrev=False, help="gcd-degree lower bound for a product pair")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    sp.add_argument("--h", required=True, metavar="SPEC")
-    common(sp, "--mode", "--p", "--max-oracle")
-
-    sp = sub.add_parser("solve", allow_abbrev=False, help="press sets for the all-on configuration")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    sp.add_argument("--h", metavar="SPEC", help="optional second factor (product game)")
-    common(sp, "--mode", "--max-oracle")
-
-    sp = sub.add_parser("counts", allow_abbrev=False, help="rank/nullity exponents of the switching matrix")
-    sp.add_argument("--g", required=True, metavar="SPEC")
-    common(sp, "--mode")
-
-    sp = sub.add_parser("sweep", allow_abbrev=False, help="formula/oracle/bound table over a family")
-    sp.add_argument(
-        "target",
-        metavar="TARGET",
-        help="stars[:LO-HI], paths[:LO-HI], cycles[:LO-HI] or random[:COUNT]",
-    )
-    common(sp, "--mode", "--p", "--seed", "--max-oracle")
-
-    sp = sub.add_parser("verify", allow_abbrev=False, help="run one of the verification suites")
-    sp.add_argument(
-        "target",
-        metavar="TARGET",
-        choices=("conjecture-open", "conjecture-closed", "lemma", "example2"),
-    )
-    common(sp, "--seed", "--max-oracle")
-
     return parser
 
 
@@ -715,7 +688,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
             print(f"error: {exc}", file=sys.stderr)
             return 2, None
     try:
-        report = _HANDLERS[args.verb](args)
+        report = _VERBS[args.verb][0](args)
     except (GraphParseError, OverCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
@@ -727,7 +700,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
         return 3, None
     code = _judge(report)
     _emit(report, args)
-    if getattr(args, "csv", None):
+    if args.csv:
         try:
             _write_csv(args.csv, report.results)
         except OSError as exc:

@@ -25,6 +25,7 @@ from lightsout.snf import FactorData, SnfResult, charpoly_oracle  # noqa: F401
 ORACLE_SIZE_CAP = 4096
 ORACLE_SIZE_CAP_ODD_P = 1024
 
+
 def partition_min_sum(pi: Sequence[int], tau: Sequence[int]) -> int:
     """Double sum of min(pi_i, tau_j); always >= min(sum(pi), sum(tau))."""
     for parts in (pi, tau):

@@ -355,7 +355,7 @@ def sylvester_solve(
             f"dimension mismatch: C is {C.rows}x{C.cols}, expected {m}x{n}"
         )
     vec = [C[i, j] for j in range(n) for i in range(m)]
-    x = gfmat.solve_system(gfmat.sylvester_operator(A, B), vec)[0]
+    x = gfmat.solve(gfmat.sylvester_operator(A, B), vec)
     if x is None:
         return None
     # the shape is explicit: with no rows the list alone would lose the n columns

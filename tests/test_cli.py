@@ -32,6 +32,35 @@ def run_json(argv, capsys):
     return code, report, payload
 
 
+#: Each verb's required arguments, and README's Flags table: flag -> (a value,
+#: the verbs that read it).  --json and --csv are read by every verb.
+VERB_REQUIRED = {
+    "charpoly": ["--g", "path:3"],
+    "snf": ["--g", "path:3"],
+    "nullity": ["--g", "path:3", "--h", "path:2"],
+    "bound": ["--g", "path:3", "--h", "path:2"],
+    "solve": ["--g", "path:3"],
+    "counts": ["--g", "path:3"],
+    "sweep": ["paths:2-3"],
+    "verify": ["lemma"],
+}
+FLAG_READERS = {
+    "--g": ("path:4", {"charpoly", "snf", "nullity", "bound", "solve", "counts"}),
+    "--h": ("path:5", {"nullity", "bound", "solve"}),
+    "--mode": ("closed", set(VERB_REQUIRED) - {"verify"}),
+    "--p": ("3", {"charpoly", "snf", "nullity", "bound", "sweep"}),
+    "--seed": ("2", {"sweep", "verify"}),
+    "--max-oracle": ("9", {"charpoly", "nullity", "bound", "solve", "sweep", "verify"}),
+}
+
+
+def _verb_flag_cells():
+    """(verb, flag, value, whether the verb reads the flag) for every verb and flag."""
+    for verb in VERB_REQUIRED:
+        for flag, (value, readers) in FLAG_READERS.items():
+            yield verb, flag, value, verb in readers
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, _ = cli.run(["counts", "--g", "path:3"])
@@ -132,15 +161,20 @@ class TestExitCodes:
         assert report.violations
 
     def test_flag_the_verb_does_not_read_is_usage_error(self, capsys):
-        for argv in (
-            ["verify", "conjecture-open", "--p", "3"],
-            ["verify", "conjecture-open", "--mode", "closed"],
-            ["counts", "--g", "path:3", "--seed", "2"],
-            ["snf", "--g", "path:3", "--max-oracle", "9"],
-        ):
-            code, report = cli.run(argv)
-            assert (code, report) == (2, None), argv
-        assert "--p" in capsys.readouterr().err
+        for verb, flag, value, reads in _verb_flag_cells():
+            if not reads:
+                argv = [verb, *VERB_REQUIRED[verb], flag, value]
+                assert cli.run(argv) == (2, None), argv
+        assert "unrecognized arguments: --p 3" in capsys.readouterr().err
+
+    def test_flag_the_verb_reads_is_parsed(self):
+        # parse only: nothing runs, and no CSV is written
+        for verb, flag, value, reads in _verb_flag_cells():
+            if reads:
+                argv = [verb, *VERB_REQUIRED[verb], flag, value, "--json", "--csv", "rows.csv"]
+                args = cli.build_parser().parse_args(argv)
+                assert str(getattr(args, flag[2:].replace("-", "_"))) == value, argv
+                assert (args.verb, args.json, args.csv) == (verb, True, "rows.csv")
 
     def test_internal_fault_exits_three(self, capsys, monkeypatch):
         def broken(A):
@@ -250,6 +284,11 @@ class TestExitCodes:
         code, _ = cli.run(["--help"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("verb", VERB_REQUIRED)
+    def test_verb_help_exits_zero(self, verb, capsys):
+        assert cli.run([verb, "--help"]) == (0, None)
+        assert capsys.readouterr().out.startswith(f"usage: lightsout {verb} [-h]")
 
 
 def _off_by_one_where(original, wrong):
