@@ -526,7 +526,7 @@ def _verify_example_star_path(args) -> Report:
     for m in range(1, 10):
         f = _factor(memo, game.path_graph(m), "open", 2)
         x_mult = next(i for i, c in enumerate(f.poly().coeffs) if c)
-        paths[m] = (f, gfmat.rank_nullity(f.matrix).nullity, x_mult)
+        paths[m] = (f, gfmat.nullity(f.matrix), x_mult)
     for n in (3, 5, 7, 9):
         star = _factor(memo, game.star_graph(n), "open", 2)
         for m, (path, nu_nullity, nu_mult) in paths.items():

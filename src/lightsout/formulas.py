@@ -128,11 +128,13 @@ def gcd_lower_bound(ca: Poly | int, cb: Poly | int, mode: str = "open") -> int:
 def oracle_nullity(
     A: PrimeFieldMatrix, B: PrimeFieldMatrix, max_dim: int = ORACLE_SIZE_CAP
 ) -> int:
-    """Ground-truth nullity of the product operator by Gaussian elimination."""
+    """Ground-truth nullity of the product operator: columns less the rank of
+    the built mn x mn operator, by ``gfmat.nullity``.  It shares no code with
+    the Krylov pass or the Smith form that the formulas run on."""
     if not A.is_square or not B.is_square:
         raise ValueError("oracle requires square A and B")
     size = A.rows * B.rows
     if size > max_dim:
         raise ValueError(f"operator size {size} exceeds the oracle cap {max_dim}")
     op = gfmat.sylvester_operator(A, B)
-    return gfmat.rank_nullity(op).nullity
+    return gfmat.nullity(op)

@@ -4,7 +4,8 @@ Matrices over GF(2) are stored as bit-packed rows, one Python int per row in
 ``gfpoly``'s packed format, and reduced by the pure-Python Four Russians
 kernel in lightsout._gf2kernel; other primes use residue rows, which
 ``_reduce_modp`` adds one at a time to a basis of monic rows.  Eliminations
-go through ``_echelon``; the Krylov pass reduces its rows as it makes them.
+go through ``_echelon``, except ``nullity``'s at p = 2, which reads only the
+kernel's ``rank_bits``; the Krylov pass reduces its rows as it makes them.
 The representation is this module's alone: construction, indexing and
 equality behave identically for every modulus.
 
@@ -242,6 +243,14 @@ def rank_nullity(M: PrimeFieldMatrix) -> RankProfile:
     """Rank profile only; skips back-substitution."""
     _, pivots = _echelon(M._data, M.cols, M.p, reduced=False)
     return _profile(M, pivots)
+
+
+def nullity(M: PrimeFieldMatrix) -> int:
+    """Columns less rank.  At p = 2 the rank comes from ``_gf2kernel.rank_bits``
+    (looked up at call time, as ``echelon_bits`` is), with no echelon rows."""
+    if M.p == 2:
+        return M.cols - _gf2kernel.rank_bits(M._data, M.cols)
+    return rank_nullity(M).nullity
 
 
 def _null_vector(rows, pivots: list[int], f: int, ncols: int, p: int) -> tuple[int, ...]:

@@ -264,18 +264,20 @@ def poly_key(f: Poly) -> tuple:
     return (len(f.coeffs), f.coeffs)
 
 
+# Both go through one binary string, linear in n: OR-ing in or shifting out
+# one bit at a time copies the whole int each time, quadratic in n.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _pack_bits(values: Iterable[int]) -> int:
-    bits = 0
-    for j, v in enumerate(values):
-        if v & 1:
-            bits |= 1 << j
-    return bits
+    return int("".join(["01"[v & 1] for v in values])[::-1] or "0", 2)
 
 
 def _unpack_bits(bits: int, n: int) -> tuple[int, ...]:
-    # from a list: tuple() of a generator over-allocates and resizes, which
-    # parks memory on the interpreter's tuple free lists every call
-    return tuple([(bits >> j) & 1 for j in range(n)])
+    # bit n is set so that the string has exactly n digits after it; tuple()
+    # of bytes knows its length, so it parks nothing on the tuple free lists
+    digits = format(1 << n | bits & ((1 << n) - 1), "b")[:0:-1]
+    return tuple(digits.encode().translate(_DIGIT_BYTES))
 
 
 def _divmod2(a: int, b: int) -> tuple[int, int]:

@@ -9,13 +9,14 @@ import pytest
 from helpers import (
     brute_force_solutions,
     commuting_pairs_dimension,
+    echelon_bits_by_columns,
     echelon_modp_by_columns,
     random_invertible,
     random_matrix01,
     random_modp_matrix,
     random_symmetric01,
 )
-from lightsout import _gf2kernel, game, gfmat
+from lightsout import _gf2kernel, formulas, game, gfmat, snf
 from lightsout.gfmat import PrimeFieldMatrix
 
 P2 = PrimeFieldMatrix([[0, 1], [1, 0]], 2)
@@ -207,6 +208,88 @@ class TestRref:
         M = PrimeFieldMatrix([[0, 1, 1], [0, 1, 1], [1, 0, 1]], 2)
         _, profile = gfmat.rref(M)
         assert profile.pivot_columns == (0, 1)
+
+
+class TestNullity:
+    """``gfmat.nullity``: the rank from the highest-bit basis at p = 2, checked
+    against column-at-a-time elimination and against ``rank_nullity``."""
+
+    @staticmethod
+    def check(M):
+        if M.p == 2:
+            _, pivots = echelon_bits_by_columns(M._data, M.cols, reduced=False)
+        else:
+            _, pivots = echelon_modp_by_columns(M.to_lists(), M.cols, M.p, reduced=False)
+        assert gfmat.nullity(M) == M.cols - len(pivots) == gfmat.rank_nullity(M).nullity
+        return gfmat.nullity(M)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_matrices_of_every_shape(self, p):
+        rng = random.Random(3101 + p)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 40), (40, 3), (70, 200), (200, 70)]
+        shapes += [(rng.randint(1, 90), rng.randint(1, 90)) for _ in range(30)]
+        for rows, cols in shapes:
+            for density in (0.0, 0.03, 0.5):  # zero, sparse, dense
+                entries = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+                if rows > 2:  # a dependent row
+                    entries[-1] = [(a + b) % p for a, b in zip(entries[0], entries[1])]
+                self.check(PrimeFieldMatrix(entries, p))
+        assert self.check(PrimeFieldMatrix.zeros(7, 9, p)) == 9
+
+    def test_sylvester_operators_of_random_pairs_in_both_modes(self):
+        rng = random.Random(3103)
+        seen = set()
+        for _ in range(200):
+            g, h = (game.random_graph(rng.randint(1, 8), rng) for _ in range(2))
+            for mode in game.MODES:
+                A, B = game.switching_matrix(g, mode), game.switching_matrix(h, "open")
+                seen.add(self.check(gfmat.sylvester_operator(A, B)))
+        assert len(seen) > 5
+
+    @pytest.mark.parametrize("family", ["star", "complete", "grid", "path", "cycle"])
+    def test_self_products_of_families_up_to_1024_rows(self, family):
+        sizes = {
+            "star": ["3", "8", "32"],
+            "complete": ["2", "5", "32"],
+            "grid": ["2x2", "3x5", "4x8"],
+            "path": ["1", "7", "32"],
+            "cycle": ["3", "10", "32"],
+        }[family]
+        for size in sizes:
+            g = game.build_family(f"{family}:{size}")
+            for mode in game.MODES:
+                A = game.switching_matrix(g, mode)
+                self.check(gfmat.sylvester_operator(A, A))
+
+    def test_gf2_goes_through_the_rank_bits_binding_only(self, monkeypatch):
+        calls = []
+        rank_bits = _gf2kernel.rank_bits
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return rank_bits(rows, ncols)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("nullity eliminated to echelon rows at p = 2")
+
+        monkeypatch.setattr(_gf2kernel, "rank_bits", counted)
+        monkeypatch.setattr(_gf2kernel, "echelon_bits", refused)
+        assert gfmat.nullity(P3) == 1 and calls == [3]
+        calls.clear()  # odd p eliminates residue rows, through neither kernel function
+        assert gfmat.nullity(PrimeFieldMatrix(P3.to_lists(), 3)) == 1 and calls == []
+
+    def test_oracle_shares_nothing_with_the_krylov_pass_or_the_smith_form(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle reached the formula's route")
+
+        monkeypatch.setattr(gfmat, "_krylov", refused)
+        monkeypatch.setattr(snf, "smith_normal_form", refused)
+        for g, h, mode in (("path:4", "path:4", "open"), ("petersen", "grid:2x3", "closed")):
+            A = game.switching_matrix(game.build_family(g), mode)
+            B = game.switching_matrix(game.build_family(h), "open")
+            L = gfmat.sylvester_operator(A, B)
+            _, pivots = echelon_bits_by_columns(L._data, L.cols, reduced=False)
+            assert formulas.oracle_nullity(A, B) == L.cols - len(pivots)
 
 
 class TestOddPEchelon:

@@ -295,6 +295,41 @@ class TestWorkingForm:
             assert reads == [], name
 
 
+class TestBitPacking:
+    """``_pack_bits`` and ``_unpack_bits`` against the bit-at-a-time loops
+    they replaced."""
+
+    @staticmethod
+    def pack_by_bits(values):
+        bits = 0
+        for j, v in enumerate(values):
+            if v & 1:
+                bits |= 1 << j
+        return bits
+
+    @staticmethod
+    def unpack_by_bits(bits, n):
+        return tuple([(bits >> j) & 1 for j in range(n)])
+
+    def test_pack_matches_the_loop(self):
+        rng = random.Random(3105)
+        for n in range(301):
+            values = [rng.randrange(-3, 4) for _ in range(n)]  # any integers: their parity counts
+            assert gfpoly._pack_bits(values) == self.pack_by_bits(values), n
+            assert gfpoly._pack_bits(tuple(values)) == gfpoly._pack_bits(iter(values))
+            assert gfpoly._pack_bits([1] * n) == (1 << n) - 1
+
+    def test_unpack_matches_the_loop_and_ignores_bits_past_n(self):
+        rng = random.Random(3107)
+        for n in range(301):
+            for bits in (0, rng.getrandbits(n), rng.getrandbits(n + 40), (1 << n) - 1, -1):
+                got = gfpoly._unpack_bits(bits, n)
+                assert got == self.unpack_by_bits(bits, n), (n, bits)
+                assert type(got) is tuple and all(type(v) is int for v in got)
+            bits = rng.getrandbits(n)
+            assert gfpoly._pack_bits(gfpoly._unpack_bits(bits, n)) == bits
+
+
 class TestShiftOne:
     def test_square_plus_one(self):
         assert shift_one(P("x^2 + 1")) == P("x^2")
