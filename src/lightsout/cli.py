@@ -58,7 +58,7 @@ from lightsout.gfpoly import Poly, check_prime, poly_ops, shift_one
 SCHEMA_VERSION = 1
 
 #: Largest factor graph, in vertices, that ``_factor`` summarizes once it is
-#: built.  It prices the Krylov pass, O(n^2) row operations: at p = 2 about 2 s
+#: built.  It prices the Krylov pass, O(n^2) row operations: at p = 2 about 0.2 s
 #: on grid:64x64, at odd p (residue lists) about 20 s on grid:32x32 at p = 3.
 #: It does not bound k, the size of R's Smith form: grids have k = m, but
 #: stars and complete graphs k = n - 1, and star:800 takes about 20 s.

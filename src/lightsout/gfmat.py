@@ -396,12 +396,11 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
 
 
 def _xor_rows(rows, u: int) -> int:
-    """The XOR of rows[i] over the set bits i of u: u times the matrix of packed rows."""
+    """The XOR of rows[i] over u's set bits i, from the top: u times the matrix of packed rows."""
     w = 0
     while u:
-        low = u & -u
-        w ^= rows[low.bit_length() - 1]
-        u ^= low
+        w ^= rows[t := u.bit_length() - 1]
+        u ^= 1 << t
     return w
 
 
@@ -411,8 +410,8 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
     Takes e_1, e_2, ... in turn, skipping each one already spanned, and
     extends the kept v_i by v_i A, v_i A^2, ... until v_i A^d_i reduces to
     zero against an echelon basis of every vector so far.  A basis row is a
-    reduced vector followed by a tag, the Krylov combination it equals, so
-    a zero reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
+    reduced vector with a tag, the Krylov combination it equals, so a zero
+    reduction leaves the relation sum_j R_ij(x) v_j = 0 in its tag.
     R is lower triangular, R_ii is monic of degree d_i, R_ij has degree
     < d_j, and the d_i sum to n.  At p = 2 R's entries are packed ints, bit
     i the coefficient of x^i, sliced straight out of the packed tags; at odd
@@ -422,23 +421,25 @@ def krylov_relations(A: PrimeFieldMatrix) -> tuple[int, list[list]]:
 
 
 def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
-    """(R, starts, vectors, pivots): kept v_i A^t from starts[i], listed at p = 2
-    only; pivots[c] (tag included) leads at c."""
+    """(R, starts, vectors, basis): kept v_i A^t from starts[i], listed at p = 2 only.
+    At p = 2 basis slot c + n + 2 of 2n + 2 holds the row u << (n + 1) | tag whose u
+    leads at bit c; a tag takes n + 1 bits (the last relation sets bit n), so a vector
+    that clears stops at an empty slot 0..n + 1, holding its tag.  At odd p basis[c]
+    is None or the row monic at c, tag included."""
     if not A.is_square:
         raise ValueError("Krylov relations require a square matrix")
     n, p, rows = A.rows, A.p, A._data
-    pivots: list = [None] * n  # column -> the basis row whose first nonzero entry, 1, is there
+    basis: list = [0] * (2 * n + 2) if p == 2 else [None] * n
     if p == 2:
         times_a = functools.partial(_xor_rows, rows)
 
         def reduce(u, m):  # the relation's packed tag, or None after adding a basis row
-            w = u | 1 << (n + m)
-            while (c := (w & -w).bit_length() - 1) < n:
-                if pivots[c] is None:
-                    pivots[c] = w
-                    return None
-                w ^= pivots[c]
-            return w >> n
+            w = u << (n + 1) | 1 << m
+            while b := basis[t := w.bit_length()]:
+                w ^= b
+            if t <= n + 1:
+                return w
+            basis[t] = w
     else:
         def times_a(u):
             w = [0] * n
@@ -449,7 +450,7 @@ def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
 
         def reduce(u, m):
             w = u + [0] * m + [1]
-            return None if _reduce_modp(w, pivots, n, p) else [a % p for a in w[n:]]
+            return None if _reduce_modp(w, basis, n, p) else [a % p for a in w[n:]]
     starts, tags, vectors, m = [], [], [], 0
     for e in range(n):
         if m == n:
@@ -471,7 +472,7 @@ def _krylov(A: PrimeFieldMatrix) -> tuple[list[list], list[int], list, list]:
                 R[i][j] = (tag >> lo) & ((1 << (hi - lo)) - 1)
             elif any(coeffs := tag[lo:hi]):
                 R[i][j] = Poly(coeffs, p)
-    return R, starts, vectors, pivots
+    return R, starts, vectors, basis
 
 
 def _transpose_bits(v: int, rows: int, cols: int) -> int:
@@ -499,16 +500,17 @@ def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
     if len(b) != m * n:
         raise ValueError(f"dimension mismatch: {m * n} rows vs {len(b)} entries")
     bits, krylov_a, krylov_b = _pack_bits(b), _krylov(A), _krylov(B)
-    target, (R, starts, vectors, pivots) = bits, krylov_b
+    target, (R, starts, vectors, basis) = bits, krylov_b
     if transposed := len(krylov_a[0]) * n < len(krylov_b[0]) * m:
         A, m, n, target = B, n, m, _transpose_bits(bits, m, n)
-        R, starts, vectors, pivots = krylov_a
+        R, starts, vectors, basis = krylov_a
     rows, mask, blocks = A._data, (1 << m) - 1, list(zip(starts, starts[1:] + [n]))
-    reduced = [0] * n  # the pass's basis rows reduced to the identity: K^-1 from bit n on
-    for col in reversed(range(n)):
-        reduced[col] = pivots[col] ^ _xor_rows(reduced, pivots[col] & ((1 << n) - 1) ^ 1 << col)
+    # K^-1's row col: the tag of slot col + n + 2's row less K^-1's rows at its vector's lower bits
+    kinv, low = [], (1 << n) - 1
+    for col, row in enumerate(basis[n + 2 :]):
+        kinv.append((row ^ _xor_rows(kinv, row >> (n + 1) ^ 1 << col)) & low)
     # X = Y K^-T: X's column col sums Y's columns s at K^-1's 1s (col, s)
-    spread = _spread_columns([row >> n for row in reduced], n, m)
+    spread = _spread_columns(kinv, n, m)
     columns = [target >> (j * m) & mask for j in range(n)]
     c = [_xor_rows(columns, v) for v in vectors]
 

@@ -479,6 +479,11 @@ class TestKrylovRoute:
                     A = PrimeFieldMatrix(rows, p)
                     self.assert_matches_char_matrix(A)
                     self.assert_matches_char_matrix(A + PrimeFieldMatrix.identity(n, p))
+        # at p = 2 a basis row's tag takes n + 1 bits below its vector, in 2n + 2 slots
+        for n in (20, 33, 48):
+            A = PrimeFieldMatrix(random_matrix01(n, n, rng), 2)
+            self.assert_matches_char_matrix(A)
+            self.assert_matches_char_matrix(A + PrimeFieldMatrix.identity(n, 2))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_graph_families(self, p):
