@@ -30,11 +30,10 @@ of the bottom; at most ``TABLE_MIN_ROWS`` rows take no floors at all.
 
 Stripes are taken while a step would touch more than ``TABLE_MIN_ROWS`` =
 64 rows (rows 0..hi when reduced, rows r..hi from the pivot row otherwise).
-They have ``STRIPE`` = 8 columns and one table of 2^8 entries; past 3 * 2^8
-= 768 rows, 24 columns and three 8-bit tables, looked up in one pass.  The
-tables cost the same 3 * 2^8 XORs either way: the wide stripe trades two
-passes over the rows for a 24-column pivot search, a few hundred row
-operations, and is worth it once the rows outnumber its table entries.
+Each has ``STRIPE`` = 8 columns (the last may have fewer) and one table of
+2^8 entries.  The steps that take them come from product solves' chase
+systems of at most 192 rows, from ``counts`` and one-graph ``solve`` on a
+switching matrix, and from ``gfmat.rref`` and ``gfmat.inverse``.
 
 Both contracts are those of plain column-at-a-time elimination, bit for
 bit: ``reduced=True`` gives the reduced row echelon form, and
@@ -59,9 +58,6 @@ STRIPE = 8
 # this cutover, tables sped up dense, random Sylvester and path/cycle
 # Sylvester operators of 96 rows and more; with 32 they slowed 36-64 row ones.
 TABLE_MIN_ROWS = 64
-# Tables per wide stripe, taken when a step touches more rows than they hold.
-_FUSED = 3
-_FUSED_MIN_ROWS = _FUSED << STRIPE
 
 # This is the only kernel; see available_backends for why the name stays.
 BACKEND = "pure"
@@ -96,7 +92,7 @@ def echelon_bits(
             hi += 1
         touched = hi if reduced else hi - r
         if touched > TABLE_MIN_ROWS:
-            end = min(c + (_FUSED * STRIPE if touched > _FUSED_MIN_ROWS else STRIPE), ncols)
+            end = min(c + STRIPE, ncols)
             while floors[hi - base] < end:
                 hi += 1
             r = _stripe(out, r, c, end, hi, reduced, pivots)
@@ -220,32 +216,17 @@ def _stripe(
         for i in range(j):
             if piv_rows[i] & mj:
                 piv_rows[i] ^= pj
-    # One table per STRIPE columns (past c1 a table is just [0]):
-    # tables[k][idx] is the XOR of the pivot rows whose columns are set in
-    # idx; bits of idx at the stripe's free columns select nothing.
+    # table[idx] is the XOR of the pivot rows whose columns are set in idx;
+    # bits of idx at the stripe's free columns select nothing.
     by_column = dict(zip(pivots[r0 - r :], piv_rows))
-    tables = []
-    for lo in range(c0, c0 + _FUSED * STRIPE, STRIPE):
-        table = [0]
-        for c in range(lo, min(lo + STRIPE, c1)):
-            e = by_column.get(c, 0)
-            table += [t ^ e for t in table]
-        tables.append(table)
+    table = [0]
+    for c in range(c0, c1):
+        e = by_column.get(c, 0)
+        table += [t ^ e for t in table]
     smask = ((1 << (c1 - c0)) - 1) << c0
-    t0, t1, t2 = tables
-    if c1 - c0 <= STRIPE:
 
-        def fix(rows: list[int]) -> list[int]:
-            return [row ^ t0[(row & smask) >> c0] for row in rows]
-
-    else:
-        # Each pivot row clears only its own column among the stripe's pivot
-        # columns, so every byte's index can be read off the original row.
-        low, b = (1 << STRIPE) - 1, STRIPE
-
-        def fix(rows: list[int]) -> list[int]:
-            return [row ^ t0[s & low] ^ t1[s >> b & low] ^ t2[s >> 2 * b]
-                    for row in rows for s in [(row & smask) >> c0]]
+    def fix(rows: list[int]) -> list[int]:
+        return [row ^ table[(row & smask) >> c0] for row in rows]
 
     out[scanned:hi] = fix(out[scanned:hi])
     if reduced:

@@ -87,18 +87,18 @@ class TestPureKernel:
 
 
 class TestFusedStripes:
-    """Steps that touch more than 3 * 2^8 rows take 24-column stripes and fix
-    each row with three 8-bit tables in one pass; the output stays that of
-    column-at-a-time elimination."""
+    """Steps that touch more than 768 rows, three times a stripe's 2^8 table
+    entries, take 8-column stripes with one table each, and the output is
+    that of column-at-a-time elimination."""
 
-    CUT = _gf2kernel._FUSED_MIN_ROWS
+    CUT = 768
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "combined"])
     def test_row_counts_around_the_cutover(self, kind):
         # Tall: forward steps touch m - r rows with r <= ncols, so the first
-        # stripe is fused exactly when m > CUT.  Reduced, every stripe is;
-        # 61 columns leave a last stripe of 13 (two tables and an empty
-        # third), 50 one of 2 (one table).
+        # stripe touches more than CUT rows exactly when m > CUT.  Reduced,
+        # every stripe does; 61 columns leave a last stripe of 5, 50 one
+        # of 2.
         rng = random.Random(f"fused-{kind}")
         for m in range(self.CUT - 3, self.CUT + 4):
             for ncols in (61, 50):
@@ -106,7 +106,8 @@ class TestFusedStripes:
 
     def test_stripes_at_high_column_offsets(self):
         # 20 rows span every column; the other 880 start at column 1000, so
-        # columns 20-999 are free and every stripe past 1000 is fused.
+        # columns 20-999 are free and the stripes from 1000 on touch up to 900
+        # rows.
         rng = random.Random(41)
         rows = [rng.getrandbits(1100) for _ in range(20)]
         rows += [rng.getrandbits(100) << 1000 for _ in range(880)]
@@ -121,7 +122,7 @@ class TestFusedStripes:
 
     def test_free_columns_inside_a_stripe(self):
         # Zero columns, and column 60 a copy of column 4, put free columns
-        # inside each of the first three 24-column stripes.
+        # inside eight of the 8-column stripes.
         rng = random.Random(43)
         free = sum(1 << c for c in (1, 9, 10, 23, 30, 47, 48, 60, 71))
         rows = []
@@ -246,3 +247,26 @@ class TestKernelBinding:
     def test_pure_kernel_is_the_only_backend(self):
         assert _gf2kernel.available_backends() == {"pure": _gf2kernel.echelon_bits}
         assert lightsout.BACKEND == "pure"
+
+
+class TestCompleteGraphCounts:
+    """Closed forms, with no reference elimination.  Over GF(2) the open
+    switching matrix of complete:n is J + I; (J + I)^2 = nJ + I, so it is
+    invertible for even n, and for odd n its null space is spanned by the
+    all-ones vector, which leaves column n - 1 free.  The closed one is J,
+    of rank 1.  Past 768 rows the first steps touch every row in both
+    modes; most of those cases' time is building the graph's 295k edges and
+    its switching matrix, not eliminating it."""
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 769, 770])
+    def test_counts_and_rref_pivots(self, n):
+        g = game.complete_graph(n)
+        ones = (1 << n) - 1
+        cases = [
+            ("open", [ones ^ 1 << i for i in range(n)], n - n % 2),
+            ("closed", [ones] * n, 1),
+        ]
+        for mode, rows, rank in cases:
+            assert game.count_exponents(g, mode) == (rank, n - rank)
+            _, profile = gfmat.rref(PrimeFieldMatrix.from_bits(rows, n, 2))
+            assert profile.pivot_columns == tuple(range(rank))
