@@ -4,16 +4,16 @@ Each row is one Python int; bit j is column j.  Python's big-int XOR already
 works a machine word at a time, so the cost that matters is the number of
 Python-level row operations.
 
-While many rows remain, columns are taken in stripes by the Method of Four
-Russians (Arlazarov, Dinic, Kronrod and Faradzev 1970; Bard, IACR ePrint
-2006/251; Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).  The stripe's
-pivots are found exactly as column-at-a-time elimination finds them: rows
-are scanned lazily, each scanned row is reduced by the stripe's earlier
-pivots, and the first row with the bit is swapped in.  Then tables of the
-XOR combinations of the stripe's pivot rows fix every row past the last one
-scanned (and, when reduced, every row above the stripe) in one pass.  A
-row's index ``(row & smask) >> c0`` masks before it shifts, so it copies
-about c1 bits of the row, not the ncols - c0 bits that ``row >> c0`` copies.
+Columns are taken in stripes by the Method of Four Russians (Arlazarov,
+Dinic, Kronrod and Faradzev 1970; Bard, IACR ePrint 2006/251; Albrecht, Bard
+and Hart, ACM TOMS 37(1), 2010).  The stripe's pivots are found exactly as
+column-at-a-time elimination finds them: rows are scanned lazily, each
+scanned row is reduced by the stripe's earlier pivots, and the first row
+with the bit is swapped in.  Then a table of the XOR combinations of the
+stripe's pivot rows fixes every row past the last one scanned (and, when
+reduced, every row above the stripe) in one pass.  A row's index
+``(row & smask) >> c0`` masks before it shifts, so it copies about c1 bits
+of the row, not the ncols - c0 bits that ``row >> c0`` copies.
 
 Every step stops at a tail bound ``hi``, the textbook banded-elimination
 saving (Golub and Van Loan, *Matrix Computations*, section 4.3).  The
@@ -26,14 +26,13 @@ down past the rows whose floor is below e.  The rows it leaves behind have
 no bit in the step's columns, so column-at-a-time elimination would not
 touch them either: a step scans, fixes and counts rows r..hi (0..hi when
 reduced), not r..m.  On a dense operator ``hi`` reaches m within a few rows
-of the bottom; at most ``TABLE_MIN_ROWS`` rows take no floors at all.
+of the bottom.
 
-Stripes are taken while a step would touch more than ``TABLE_MIN_ROWS`` =
-64 rows (rows 0..hi when reduced, rows r..hi from the pivot row otherwise).
-Each has ``STRIPE`` = 8 columns (the last may have fewer) and one table of
-2^8 entries.  The steps that take them come from product solves' chase
-systems of at most 192 rows, from ``counts`` and one-graph ``solve`` on a
-switching matrix, and from ``gfmat.rref`` and ``gfmat.inverse``.
+Every step is a stripe of ``STRIPE`` = 8 columns (the last may be narrower)
+with one table of 2^8 entries.  Of the benchmark workloads, only
+product-large calls it, on chase systems of 48 to 144 rows; verify-random
+and sweep-families make no call.  ``counts`` and one-graph ``solve`` on a
+switching matrix, ``gfmat.rref`` and ``gfmat.inverse`` call it too.
 
 Both contracts are those of plain column-at-a-time elimination, bit for
 bit: ``reduced=True`` gives the reduced row echelon form, and
@@ -54,10 +53,6 @@ from __future__ import annotations
 from typing import Sequence
 
 STRIPE = 8
-# Rows touched per step above which a stripe's table pays for itself.  With
-# this cutover, tables sped up dense, random Sylvester and path/cycle
-# Sylvester operators of 96 rows and more; with 32 they slowed 36-64 row ones.
-TABLE_MIN_ROWS = 64
 
 # This is the only kernel; see available_backends for why the name stays.
 BACKEND = "pure"
@@ -79,29 +74,18 @@ def echelon_bits(
     out = list(rows)
     m = len(out)
     pivots: list[int] = []
-    if m <= TABLE_MIN_ROWS:
-        _columns(out, 0, 0, ncols, m, reduced, pivots)
-        return out, pivots
     # Rows from hi on are still as given and have no bit left of
     # floors[hi - base]: a step that ends there never reaches them.
     hi, floors = _tail_floors(out, ncols)
     base = hi
-    r = c = 0
-    while c < ncols and r < m:
-        while floors[hi - base] <= c:
+    r = 0
+    for c in range(0, ncols, STRIPE):
+        if r == m:
+            break
+        end = min(c + STRIPE, ncols)
+        while floors[hi - base] < end:
             hi += 1
-        touched = hi if reduced else hi - r
-        if touched > TABLE_MIN_ROWS:
-            end = min(c + STRIPE, ncols)
-            while floors[hi - base] < end:
-                hi += 1
-            r = _stripe(out, r, c, end, hi, reduced, pivots)
-        else:
-            # Up to the floor at hi, hi stays put and the rows touched per
-            # step do not grow, so these columns take one plain run.
-            end = min(floors[hi - base], ncols)
-            r = _columns(out, r, c, end, hi, reduced, pivots)
-        c = end
+        r = _stripe(out, r, c, end, hi, reduced, pivots)
     return out, pivots
 
 
@@ -139,33 +123,6 @@ def _tail_floors(rows: list[int], ncols: int) -> tuple[int, list[int]]:
         base -= 1
     floors.reverse()
     return base, floors
-
-
-def _columns(
-    out: list[int], r: int, c0: int, c1: int, hi: int, reduced: bool, pivots: list[int]
-) -> int:
-    """Eliminate columns c0..c1-1 one at a time with pivot rows r..hi-1; returns the next pivot row."""
-    for c in range(c0, c1):
-        if r == hi:
-            break
-        mask = 1 << c
-        pr = -1
-        for i in range(r, hi):
-            if out[i] & mask:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            out[r], out[pr] = out[pr], out[r]
-        piv = out[r]
-        start = 0 if reduced else r + 1
-        for i in range(start, hi):
-            if i != r and out[i] & mask:
-                out[i] ^= piv
-        pivots.append(c)
-        r += 1
-    return r
 
 
 def _stripe(

@@ -1,6 +1,7 @@
 """The GF(2) elimination kernel: parity with the column-at-a-time reference,
 and the module binding through which gfmat reaches it."""
 
+import itertools
 import random
 
 import pytest
@@ -47,12 +48,25 @@ class TestPureKernel:
     @pytest.mark.parametrize("kind", ["dense", "sparse", "combined"])
     def test_matches_column_reference_across_cutover(self, kind):
         rng = random.Random(f"parity-{kind}")
-        cut = _gf2kernel.TABLE_MIN_ROWS
+        # The sizes straddle the retired 64-row cutover, below which steps
+        # once cleared one column at a time instead of taking a stripe.
+        cut = 64
         counts = [*range(0, 41), *range(cut - 3, cut + 4), *range(250, 301, 10), 600]
         for m in counts:
             # Wide, square-ish and tall shapes; column counts off the stripe width.
             for ncols in (m + rng.randint(1, 40), max(1, m - 3), m // 3 + 5):
                 assert_matches_reference(rows_of_kind(kind, m, ncols, rng), ncols)
+
+    def test_every_tiny_matrix(self):
+        # Every 0/1 matrix of at least one row and column and at most 10
+        # entries, zero rows and stripes narrower than 8 columns included.
+        checked = 0
+        for m in range(1, 11):
+            for ncols in range(1, 10 // m + 1):
+                for bits in itertools.product(range(1 << ncols), repeat=m):
+                    assert_matches_reference(list(bits), ncols)
+                    checked += 1
+        assert checked == 7306
 
     def test_zero_and_duplicate_rows_leave_free_columns_in_stripes(self):
         rng = random.Random(31)

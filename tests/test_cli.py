@@ -105,7 +105,9 @@ class TestExitCodes:
     def test_negative_max_oracle_is_usage_error(self, capsys):
         argv = ["nullity", "--g", "path:3", "--h", "path:3", "--max-oracle"]
         assert cli.run(argv + ["-5"]) == (2, None)
-        assert "--max-oracle" in capsys.readouterr().err
+        assert "--max-oracle: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+        assert cli.run(argv + ["abc"]) == (2, None)
+        assert "--max-oracle: expected an integer >= 0, got 'abc'" in capsys.readouterr().err
         code, report = cli.run(argv + ["0"])
         capsys.readouterr()
         assert code == 0
@@ -185,9 +187,18 @@ class TestExitCodes:
         assert (code, report) == (3, None)
         assert "error: internal ValueError: simulated fault" in capsys.readouterr().err
 
-    def test_reversed_sweep_range_is_usage_error(self, capsys):
-        assert cli.run(["sweep", "paths:9-3"]) == (2, None)
-        assert "reversed paths range '9-3'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("paths:9-3", "reversed paths range '9-3'"),
+            ("paths:3", "malformed paths range '3'"),
+            ("random:x", "malformed random count 'x'"),
+        ],
+        ids=["reversed", "missing-dash", "random-count"],
+    )
+    def test_reversed_sweep_range_is_usage_error(self, target, message, capsys):
+        assert cli.run(["sweep", target]) == (2, None)
+        assert message in capsys.readouterr().err
 
     def test_non_utf8_graph_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.txt"
