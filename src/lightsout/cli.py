@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 from lightsout import formulas, game, gfmat, snf
@@ -644,6 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # run's parser, built on first use: parse_args leaves it unchanged
+
+
 def _judge(report: Report) -> int:
     """Add the rows that fail their check to violations; 1 if any violation, else 0.
 
@@ -676,7 +679,7 @@ def run(argv: Sequence[str]) -> tuple[int, Report | None]:
     handler ran to the end.
     """
     try:
-        args = build_parser().parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code, None

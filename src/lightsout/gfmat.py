@@ -351,10 +351,14 @@ def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
 
 def _spread_columns(rows, cols: int, stride: int) -> list[int]:
     """Each column j of the packed rows as an int, entry l at bit l * stride:
-    at stride 1, the rows of the transpose, dense or sparse in the same time."""
-    s = "".join(format(row, f"0{cols}b")[::-1] for row in rows)  # s[l*cols + j] is entry (l, j)
-    spread = (("0" * (stride - 1)).join(s[j::cols]) if stride > 1 else s[j::cols] for j in range(cols))
-    return [int(column[::-1] or "0", 2) for column in spread]
+    at stride 1, the rows of the transpose.  One OR per set bit of the rows."""
+    out = [0] * cols
+    for l, row in enumerate(rows):
+        bit = 1 << (l * stride)
+        while row:
+            out[j := row.bit_length() - 1] |= bit
+            row ^= 1 << j
+    return out
 
 
 def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -373,10 +377,8 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
     if p == 2:
         # Row j*m + i is A[i] placed at block j, minus B[l, j] at l*m + i for
         # each l: the latter is S_j << i with S_j the spread-out column j of B.
-        spread = _spread_columns(B._data, n, m)
-        data = [
-            (A._data[i] << (j * m)) ^ (spread[j] << i) for j in range(n) for i in range(m)
-        ]
+        blocks = zip((j * m for j in range(n)), _spread_columns(B._data, n, m))  # (j*m, S_j)
+        data = [a << off ^ s << i for off, s in blocks for i, a in enumerate(A._data)]
     else:
         data = []
         for j in range(n):

@@ -88,6 +88,14 @@ def poly_det_cofactor(entries: list[list[Poly]], p: int) -> Poly:
     return total
 
 
+def spread_columns_by_entries(rows, cols, stride):
+    """Column j of the packed rows as an int with entry (l, j) at bit l * stride,
+    read one entry at a time: the reference for ``gfmat._spread_columns``."""
+    return [
+        sum(((row >> j) & 1) << (l * stride) for l, row in enumerate(rows)) for j in range(cols)
+    ]
+
+
 def echelon_bits_by_columns(rows, ncols, reduced=True):
     """Column-at-a-time GF(2) elimination: the reference for the pure kernel.
 

@@ -101,9 +101,10 @@ class TestPureKernel:
 
 
 class TestFusedStripes:
-    """Steps that touch more than 768 rows, three times a stripe's 2^8 table
-    entries, take 8-column stripes with one table each, and the output is
-    that of column-at-a-time elimination."""
+    """Every step of every size is an 8-column stripe with one 2^8-entry
+    table, and the output is that of column-at-a-time elimination.  The
+    cases sit around 768 rows, three times a table's entries, where the
+    24-column fused stripes the class is named after once took over."""
 
     CUT = 768
 

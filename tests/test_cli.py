@@ -96,6 +96,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_no_parse_carries_over_to_the_next_run(self, capsys):
+        # run parses with one parser for the whole process
+        code, _, closed = run_json(["sweep", "paths:2-3", "--mode", "closed", "--max-oracle", "1"], capsys)
+        assert code == 0 and {row["oracle_match"] for row in closed["results"]} == {"skipped"}
+        code, _, payload = run_json(["sweep", "paths:2-3"], capsys)
+        assert code == 0
+        assert {row["mode"] for row in payload["results"]} == {"open"}
+        assert {row["oracle_match"] for row in payload["results"]} == {"ok"}
+        assert cli.run(["nullity", "--g", "petersen"]) == (2, None)
+        assert cli.run(["counts", "--g", "path:3"])[0] == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("spec", ["grid:0x5", "grid:5x0"])
     def test_zero_sized_grid_is_usage_error(self, spec, capsys):
         code, _ = cli.run(["counts", "--g", spec])

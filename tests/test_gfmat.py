@@ -15,6 +15,7 @@ from helpers import (
     random_matrix01,
     random_modp_matrix,
     random_symmetric01,
+    spread_columns_by_entries,
 )
 from lightsout import _gf2kernel, formulas, game, gfmat, snf
 from lightsout.gfmat import PrimeFieldMatrix
@@ -570,6 +571,19 @@ class TestKronecker:
                 assert left == right
 
 
+class TestSpreadColumns:
+    @pytest.mark.parametrize("density", [0, 0.03, 0.5])
+    def test_matches_entry_by_entry_spread(self, density):
+        rng = random.Random(f"spread-{density}")
+        for nrows, cols in [(0, 5), (1, 1), (7, 7), (5, 13), (13, 5), (40, 3), (3, 40)]:
+            rows = [sum(1 << j for j in range(cols) if rng.random() < density) for _ in range(nrows)]
+            if nrows > 1:
+                rows[1] = 0
+            for stride in {1, max(1, cols // 2), cols, cols + 3, 64}:
+                want = spread_columns_by_entries(rows, cols, stride)
+                assert gfmat._spread_columns(rows, cols, stride) == want, (nrows, cols, stride)
+
+
 class TestSylvesterOperator:
     def test_matches_kronecker_formula(self):
         rng = random.Random(47)
@@ -577,6 +591,9 @@ class TestSylvesterOperator:
             # Random B is not symmetric; shapes include m != n and empty factors.
             shapes = [(0, 0), (0, 3), (3, 0), (2, 5)]
             shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(15)]
+            if p == 2:  # B's spread columns at strides up to 40, across many set bits
+                shapes += [(rng.randint(7, 20), rng.randint(7, 20)) for _ in range(4)]
+                shapes += [(20, 20), (1, 40), (40, 1), (3, 24)]
             for m, n in shapes:
                 A = PrimeFieldMatrix(random_modp_matrix(m, m, p, rng), p)
                 B = PrimeFieldMatrix(random_modp_matrix(n, n, p, rng), p)
