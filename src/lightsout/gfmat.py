@@ -17,9 +17,9 @@ random graphs and m on an m x m grid.  ``solve_sylvester`` chases the
 lights along the same pass's basis: a km-row elimination, not an mn-row one.
 
 Packed rows are read only where CLI verbs and brute-force oracles loop:
-construction, entry access, elimination, the Krylov pass and the light
-chase, ``sylvester_operator`` and ``mul_vec`` (over residue rows the exhaustive
-press-set checks ran about 15 times slower).  ``+``, ``-``, ``@``,
+construction, entry access, elimination, the Krylov pass and the light chase,
+``sylvester_operator``, ``hessenberg`` and ``mul_vec`` (over residue rows the
+exhaustive press-set checks ran about 15 times slower).  ``+``, ``-``, ``@``,
 ``transpose``, ``inverse`` and ``kronecker`` are written once, over residue
 rows, through ``_of_rows``.
 
@@ -347,6 +347,31 @@ def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
     nrows = N.to_lists()
     rows = [[a * b for a in mrow for b in nrow] for mrow in M.to_lists() for nrow in nrows]
     return PrimeFieldMatrix._of_rows(rows, M.cols * N.cols, M.p)
+
+
+def hessenberg(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
+    """An upper Hessenberg matrix similar to the square GF(2) matrix M, by Gauss
+    similarity transforms (Golub and Van Loan, *Matrix Computations*, section 7.4),
+    or M itself when it has at most 4n ones.  Column c's pivot row r > c comes to
+    row c + 1 by the transposition (r, c + 1); row c + 1 is added to each lower
+    row with a 1 in column c, and their columns to column c + 1 (E^-1 = E)."""
+    if M.p != 2 or not M.is_square:
+        raise ValueError("Hessenberg reduction takes a square matrix over GF(2)")
+    if sum(map(int.bit_count, M._data)) <= 4 * (n := M.rows):
+        return M
+    rows = list(M._data)
+    for c in range(n - 2):
+        if not (below := [i for i in range(c + 1, n) if rows[i] >> c & 1]):
+            continue
+        if (r := below[0]) != c + 1:  # row c + 1 if it has a 1 in column c
+            rows[r], rows[c + 1] = rows[c + 1], rows[r]
+            swap = 1 << r | 1 << (c + 1)
+            rows = [row ^ swap if (row >> r ^ row >> (c + 1)) & 1 else row for row in rows]
+        if mask := sum(1 << i for i in below[1:]):
+            for i in below[1:]:
+                rows[i] ^= rows[c + 1]
+            rows = [row ^ (row & mask).bit_count() % 2 << (c + 1) for row in rows]
+    return PrimeFieldMatrix._packed(n, 2, rows)
 
 
 def _spread_columns(rows, cols: int, stride: int) -> list[int]:

@@ -1,10 +1,11 @@
 """Nullity formulas against the elimination oracle, plus the bound lemma."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import euclid_gcd, random_matrix01
+from helpers import echelon_bits_by_columns, euclid_gcd, random_matrix01
 from lightsout import formulas, game, gfmat, snf
 from lightsout.formulas import (
     gcd_lower_bound,
@@ -293,6 +294,42 @@ class TestOracle:
             h = game.random_graph(rng.randint(1, 6), rng)
             A, B = adjacency(g), adjacency(h)
             assert oracle_nullity(A, B) == oracle_nullity(B, A)
+
+    def test_equals_column_elimination_of_the_untransformed_operator(self, monkeypatch):
+        # at p = 2 a B with no more rows than A and over 4n ones is replaced by a
+        # similar upper Hessenberg H, whose operator has the same nullity as B's
+        hessenberg, reduced = gfmat.hessenberg, []
+
+        def watched(M):
+            reduced.append((H := hessenberg(M)) is not M)
+            return H
+
+        def edges(k, density):
+            return [e for e in combinations(range(k), 2) if rng.random() < density]
+
+        monkeypatch.setattr(gfmat, "hessenberg", watched)
+        rng = random.Random(131)
+        shapes = [(12, 9), (16, 10), (11, 11), (14, 14), (9, 12), (10, 16), (1, 12), (12, 1)]
+        shapes += [(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(12)]
+        sides = set()
+        for m, n in shapes:
+            for density in (0.1, 0.6):  # either side of the 4n-ones rule, for n > 5
+                g, h = (game.Graph.from_edges(k, edges(k, density)) for k in (m, n))
+                for mode in game.MODES:
+                    A = game.switching_matrix(g, mode)
+                    B = adjacency(h)
+                    L = gfmat.sylvester_operator(A, B)
+                    _, pivots = echelon_bits_by_columns(L._data, L.cols, reduced=False)
+                    reduced.clear()
+                    assert oracle_nullity(A, B) == L.cols - len(pivots)
+                    assert len(reduced) == (n <= m)
+                    sides.add(((n > m) - (n < m), reduced == [True]))
+        assert sides == {(-1, True), (-1, False), (0, True), (0, False), (1, False)}
+        reduced.clear()  # odd p eliminates B's own operator
+        for m, n in ((9, 9), (10, 7)):
+            A, B = (adjacency(game.complete_graph(k), 3) for k in (m, n))
+            assert oracle_nullity(A, B) == gfmat.nullity(gfmat.sylvester_operator(A, B))
+        assert reduced == []
 
 
 class TestFormulaOracleAgreement:

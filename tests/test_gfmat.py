@@ -283,14 +283,77 @@ class TestNullity:
         def refused(*args, **kwargs):
             raise AssertionError("the oracle reached the formula's route")
 
+        hessenberg, reduced = gfmat.hessenberg, []
+
+        def watched(M):
+            reduced.append((H := hessenberg(M)) is not M)
+            return H
+
         monkeypatch.setattr(gfmat, "_krylov", refused)
         monkeypatch.setattr(snf, "smith_normal_form", refused)
-        for g, h, mode in (("path:4", "path:4", "open"), ("petersen", "grid:2x3", "closed")):
+        monkeypatch.setattr(gfmat, "hessenberg", watched)
+        pairs = (("path:4", "path:4", "open"), ("petersen", "grid:2x3", "closed"))
+        pairs += (("complete:12", "complete:10", "closed"),)  # dense: H's operator is eliminated
+        for g, h, mode in pairs:
             A = game.switching_matrix(game.build_family(g), mode)
             B = game.switching_matrix(game.build_family(h), "open")
             L = gfmat.sylvester_operator(A, B)
             _, pivots = echelon_bits_by_columns(L._data, L.cols, reduced=False)
             assert formulas.oracle_nullity(A, B) == L.cols - len(pivots)
+        assert reduced == [False, False, True]
+
+
+class TestHessenberg:
+    """``gfmat.hessenberg``: a similar upper Hessenberg matrix, or M itself when sparse."""
+
+    @staticmethod
+    def check(M):
+        H = gfmat.hessenberg(M)
+        n = M.rows
+        if H is not M:
+            assert all(H[i, j] == 0 for i in range(n) for j in range(i - 1))
+        # similar matrices: the same invariant factors of xI - M (Frobenius), and
+        # the same characteristic polynomial by an expansion that shares no code
+        assert snf.invariant_factors(H) == snf.invariant_factors(M)
+        assert snf.charpoly_oracle(H, 2) == snf.charpoly_oracle(M, 2)
+        return H
+
+    def test_dense_non_symmetric_matrices_up_to_40(self):
+        rng = random.Random(3601)
+        for n in [9, 10, 17, 25, 33, 40] + [rng.randint(9, 40) for _ in range(10)]:
+            for density in (0.5, 0.9):
+                M = PrimeFieldMatrix(
+                    [[int(rng.random() < density) for _ in range(n)] for _ in range(n)], 2
+                )
+                assert self.check(M) is not M
+
+    def test_small_zero_and_identity_matrices(self):
+        rng = random.Random(3602)
+        small = [PrimeFieldMatrix(random_matrix01(n, n, rng), 2) for n in (1, 2) for _ in range(4)]
+        ones = [PrimeFieldMatrix([[1] * n for _ in range(n)], 2) for n in (1, 2, 5, 6)]
+        cases = [PrimeFieldMatrix.zeros(0, 0, 2), PrimeFieldMatrix.zeros(6, 6, 2)]
+        cases += [PrimeFieldMatrix.identity(n, 2) for n in (1, 2, 7)] + small + ones
+        for M in cases:
+            self.check(M)
+
+    def test_a_sparse_matrix_comes_back_as_the_same_object(self):
+        rng = random.Random(3603)
+        for spec in ("path:40", "cycle:30", "star:41", "grid:8x8", "petersen"):
+            A = game.switching_matrix(game.build_family(spec), "open")
+            assert gfmat.hessenberg(A) is A
+        n = 20  # the rule's edge: 4n ones stay, 4n + 1 are reduced
+        cells = rng.sample(range(n * n), 4 * n + 1)
+        for k, same in ((4 * n, True), (4 * n + 1, False)):
+            rows = [0] * n
+            for c in cells[:k]:
+                rows[c // n] |= 1 << (c % n)
+            M = PrimeFieldMatrix.from_bits(rows, n, 2)
+            assert (self.check(M) is M) == same
+
+    def test_only_square_matrices_over_gf2(self):
+        for M in (PrimeFieldMatrix.zeros(3, 4, 2), PrimeFieldMatrix.identity(3, 3)):
+            with pytest.raises(ValueError):
+                gfmat.hessenberg(M)
 
 
 class TestOddPEchelon:
