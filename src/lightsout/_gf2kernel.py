@@ -42,9 +42,8 @@ as they stood when selected.
 ``echelon_bits`` serves the callers that read echelon rows or pivot columns;
 the nullity oracle reads a rank alone, from ``rank_bits``.  Family operators
 clear in a few XORs per row that way (``star:63`` squared: about 1 ms,
-against 1.1 s forward).  A dense second factor fills the basis in, so the
-oracle eliminates the operator of its Hessenberg form instead, but not for a
-lopsided pair (2 x 2048 vertices), which takes 1.5 times as long as forward.
+against 1.1 s forward).  A dense second factor fills the basis in, so the oracle
+puts the smaller factor second, in Hessenberg form; 2 x 2048 vertices take 1.4 times as long.
 
 ``gfmat`` looks both up on this module at call time, so a wrapper bound here
 (as the benchmark tracer binds one) sees every call.

@@ -4,8 +4,8 @@ Everything here evaluates the nullity of kron(I, A) - kron(B^T, I) by some
 route: the min-sum over matching irreducible factor data, the double sum of
 gcd degrees over invariant factors, the weighted self-product form, the
 path specialization, the gcd-degree lower bound, or Gaussian elimination on
-an assembled operator, at p = 2 that of an upper Hessenberg form of a dense
-second factor (the oracle the others are checked against).
+an assembled operator, at p = 2 with the smaller factor second and, when it
+is dense, in upper Hessenberg form (the oracle the others are checked against).
 """
 
 from __future__ import annotations
@@ -129,21 +129,21 @@ def oracle_nullity(
     A: PrimeFieldMatrix, B: PrimeFieldMatrix, max_dim: int = ORACLE_SIZE_CAP
 ) -> int:
     """Ground-truth nullity of the product operator: columns less the rank of
-    the built mn x mn operator, by ``gfmat.nullity``.  At p = 2, when B has no
-    more rows than A, B gives way to ``gfmat.hessenberg(B)``: for H = P B P^-1,
-    X -> XP^-1 carries the kernel of X -> AX + XB onto that of Y -> AY + YH.
-    A dense B makes every block row of the operator top out in the last block,
-    so the slotted basis fills in; H's block row j tops out in block j + 1
-    (two ER(48) factors: 54,799 XOR steps, not 522,457).  Until the benchmark
-    tracer binds a layer for it, the reduction's time falls into this
-    function's self time.  At p = 2 the oracle shares no code with the Krylov
-    pass or the Smith form that the formulas run on; at odd p its elimination
-    and the Krylov pass both reduce rows with ``gfmat._reduce_modp``."""
+    the built mn x mn operator, by ``gfmat.nullity``.  At p = 2 the smaller factor
+    goes second (sum deg gcd(a_i, b_j) is symmetric in A and B); with over 4n ones
+    it gives way to H = ``gfmat.hessenberg(B)`` = P B P^-1, and X -> XP^-1 carries
+    the kernel of X -> AX + XB onto that of Y -> AY + YH.  A dense B's block rows
+    all top out in the last block and fill the slotted basis in; H's block row j
+    tops out in block j + 1.  Until the benchmark tracer binds a layer for it, the
+    reduction's time falls into this function's self time.  At p = 2 the oracle
+    shares no code with the Krylov pass or the Smith form; at odd p its
+    elimination and the Krylov pass both reduce rows with ``gfmat._reduce_modp``."""
     if not A.is_square or not B.is_square:
         raise ValueError("oracle requires square A and B")
     size = A.rows * B.rows
     if size > max_dim:
         raise ValueError(f"operator size {size} exceeds the oracle cap {max_dim}")
-    if B.p == 2 and B.rows <= A.rows:
-        B = gfmat.hessenberg(B)
+    if B.p == 2:  # reducing sparse factors too made the sweep workload 11 % slower
+        A, B = (A, B) if B.rows <= A.rows else (B, A)
+        B = gfmat.hessenberg(B) if gfmat.weight(B) > 4 * B.rows else B
     return gfmat.nullity(gfmat.sylvester_operator(A, B))

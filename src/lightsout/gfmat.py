@@ -18,10 +18,10 @@ lights along the same pass's basis: a km-row elimination, not an mn-row one.
 
 Packed rows are read only where CLI verbs and brute-force oracles loop:
 construction, entry access, elimination, the Krylov pass and the light chase,
-``sylvester_operator``, ``hessenberg`` and ``mul_vec`` (over residue rows the
-exhaustive press-set checks ran about 15 times slower).  ``+``, ``-``, ``@``,
-``transpose``, ``inverse`` and ``kronecker`` are written once, over residue
-rows, through ``_of_rows``.
+``sylvester_operator``, ``hessenberg``, ``weight`` and ``mul_vec`` (over residue
+rows the exhaustive press-set checks ran about 15 times slower).  ``+``, ``-``,
+``@``, ``transpose``, ``inverse`` and ``kronecker`` are written once, over
+residue rows, through ``_of_rows``.
 
 All operations are pure functions on value-semantic inputs; nothing mutates
 its arguments, so matrices can be shared freely across threads.
@@ -349,17 +349,21 @@ def kronecker(M: PrimeFieldMatrix, N: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix._of_rows(rows, M.cols * N.cols, M.p)
 
 
+def weight(M: PrimeFieldMatrix) -> int:
+    """The number of nonzero entries of M."""
+    rows = M._data
+    return sum(map(int.bit_count, rows)) if M.p == 2 else sum(len(r) - r.count(0) for r in rows)
+
+
 def hessenberg(M: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """An upper Hessenberg matrix similar to the square GF(2) matrix M, by Gauss
-    similarity transforms (Golub and Van Loan, *Matrix Computations*, section 7.4),
-    or M itself when it has at most 4n ones.  Column c's pivot row r > c comes to
-    row c + 1 by the transposition (r, c + 1); row c + 1 is added to each lower
-    row with a 1 in column c, and their columns to column c + 1 (E^-1 = E)."""
+    similarity transforms (Golub and Van Loan, *Matrix Computations*, section 7.4).
+    Column c's pivot row r > c comes to row c + 1 by the transposition (r, c + 1);
+    row c + 1 is added to each lower row with a 1 in column c, and their columns
+    to column c + 1 (E^-1 = E)."""
     if M.p != 2 or not M.is_square:
         raise ValueError("Hessenberg reduction takes a square matrix over GF(2)")
-    if sum(map(int.bit_count, M._data)) <= 4 * (n := M.rows):
-        return M
-    rows = list(M._data)
+    n, rows = M.rows, list(M._data)
     for c in range(n - 2):
         if not (below := [i for i in range(c + 1, n) if rows[i] >> c & 1]):
             continue

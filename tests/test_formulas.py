@@ -296,13 +296,13 @@ class TestOracle:
             assert oracle_nullity(A, B) == oracle_nullity(B, A)
 
     def test_equals_column_elimination_of_the_untransformed_operator(self, monkeypatch):
-        # at p = 2 a B with no more rows than A and over 4n ones is replaced by a
-        # similar upper Hessenberg H, whose operator has the same nullity as B's
+        # at p = 2 the smaller factor (B on a tie) takes B's place and, with over 4n
+        # ones, is replaced by a similar upper Hessenberg H: the nullity is the same
         hessenberg, reduced = gfmat.hessenberg, []
 
         def watched(M):
-            reduced.append((H := hessenberg(M)) is not M)
-            return H
+            reduced.append(M)
+            return hessenberg(M)
 
         def edges(k, density):
             return [e for e in combinations(range(k), 2) if rng.random() < density]
@@ -322,11 +322,13 @@ class TestOracle:
                     _, pivots = echelon_bits_by_columns(L._data, L.cols, reduced=False)
                     reduced.clear()
                     assert oracle_nullity(A, B) == L.cols - len(pivots)
-                    assert len(reduced) == (n <= m)
-                    sides.add(((n > m) - (n < m), reduced == [True]))
-        assert sides == {(-1, True), (-1, False), (0, True), (0, False), (1, False)}
+                    small = B if n <= m else A
+                    dense = gfmat.weight(small) > 4 * small.rows
+                    assert reduced == ([small] if dense else [])
+                    sides.add(((n > m) - (n < m), dense))
+        assert sides == {(side, dense) for side in (-1, 0, 1) for dense in (True, False)}
         reduced.clear()  # odd p eliminates B's own operator
-        for m, n in ((9, 9), (10, 7)):
+        for m, n in ((9, 9), (10, 7), (7, 10)):
             A, B = (adjacency(game.complete_graph(k), 3) for k in (m, n))
             assert oracle_nullity(A, B) == gfmat.nullity(gfmat.sylvester_operator(A, B))
         assert reduced == []
