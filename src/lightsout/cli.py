@@ -36,10 +36,11 @@ Import rule: every run pays this module's imports before any algebra, so
 it loads no standard-library module that a text-output run does not use.
 ``json``, ``csv`` and ``traceback`` are imported where they are used: in
 the --json branch of ``_emit``, in ``_write_csv`` and in ``run``'s
-internal-fault branch.  The records are ``__slots__`` classes or
-``typing.NamedTuple``, not dataclasses, which would load ``inspect`` and
-with it ``ast``, ``dis`` and ``tokenize``.  lightsout's own modules stay
-imported here: every verb needs them.
+internal-fault branch.  The records are a ``types.SimpleNamespace``
+subclass (``Report``) and a ``typing.NamedTuple`` (``FactorSummary``), whose
+modules lightsout's own imports load already; not dataclasses, which would
+load ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``.  lightsout's
+own modules stay imported here: every verb needs them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ import argparse
 import random
 import sys
 from functools import cache, reduce
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 from lightsout import formulas, game, gfmat, snf
 from lightsout.game import Graph, GraphParseError
@@ -75,14 +77,12 @@ class OverCapError(ValueError):
     """A factor graph over the formula route's vertex cap: a usage error."""
 
 
-class Report:
+class Report(SimpleNamespace):
     """Result of one CLI invocation; serializes to the documented JSON schema.
 
     Mutable: handlers and ``_judge`` append to its lists.  Reports compare
     field by field, so two runs with the same output give equal reports.
     """
-
-    __slots__ = ("command", "seed", "results", "violations", "notes")
 
     def __init__(
         self,
@@ -92,23 +92,13 @@ class Report:
         violations: list[dict] | None = None,
         notes: list[str] | None = None,
     ):
-        self.command = command
-        self.seed = seed
-        self.results = [] if results is None else results
-        self.violations = [] if violations is None else violations
-        self.notes = [] if notes is None else notes
-
-    def _fields(self) -> tuple:
-        return self.command, self.seed, self.results, self.violations, self.notes
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Report:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"Report({fields})"
+        super().__init__(
+            command=command,
+            seed=seed,
+            results=[] if results is None else results,
+            violations=[] if violations is None else violations,
+            notes=[] if notes is None else notes,
+        )
 
     def to_dict(self) -> dict:
         """The JSON payload: a copy, so rows (flat dicts of scalars) are copied too."""
@@ -187,15 +177,13 @@ def _match(oracle, value) -> str:
     return "ok" if oracle == value else "mismatch"
 
 
-class FactorSummary:
+class FactorSummary(NamedTuple):
     """A factor graph's switching matrix, SnfResult and characteristic polynomial, the
     last in ``gfpoly.poly_ops(p)``'s working form; ``poly()`` builds its Poly."""
 
-    __slots__ = ("matrix", "snf", "charpoly")
-
-    def __init__(self, M: PrimeFieldMatrix, s: snf.SnfResult, p: int):
-        ops = poly_ops(p)
-        self.matrix, self.snf, self.charpoly = M, s, reduce(ops.mul, s.factors, ops.one)
+    matrix: PrimeFieldMatrix
+    snf: snf.SnfResult
+    charpoly: int | Poly
 
     def poly(self) -> Poly:
         return poly_ops(self.matrix.p).to_poly(self.charpoly)
@@ -231,8 +219,8 @@ def _factor(memo: dict, g: Graph, mode: str, p: int) -> FactorSummary:
     if key not in memo:
         _check_cap(g.vertex_count, p)
         M = game.switching_matrix(g, mode, p)
-        s = snf.invariant_factors(M)
-        memo[key] = FactorSummary(M, s, p)
+        s, ops = snf.invariant_factors(M), poly_ops(p)
+        memo[key] = FactorSummary(M, s, reduce(ops.mul, s.factors, ops.one))
     return memo[key]
 
 

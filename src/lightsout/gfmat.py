@@ -408,20 +408,15 @@ def sylvester_operator(A: PrimeFieldMatrix, B: PrimeFieldMatrix) -> PrimeFieldMa
         # each l: the latter is S_j << i with S_j the spread-out column j of B.
         blocks = zip((j * m for j in range(n)), _spread_columns(B._data, n, m))  # (j*m, S_j)
         data = [a << off ^ s << i for off, s in blocks for i, a in enumerate(A._data)]
-    else:
-        data = []
-        for j in range(n):
-            off = j * m
-            for i in range(m):
-                row = [0] * (m * n)
-                arow = A._data[i]
-                for k in range(m):
-                    row[off + k] = arow[k]
-                for l in range(n):
-                    v = B._data[l][j]
-                    if v:
-                        idx = l * m + i
-                        row[idx] = (row[idx] - v) % p
+    else:  # the same two terms over residue lists: each nonzero B[l, j] at l*m + i
+        cols = [[(l * m, v) for l, v in enumerate(c) if v] for c in zip(*B._data)]
+        zero, data = [0] * (m * n), []
+        for off, col in zip((j * m for j in range(n)), cols):
+            for i, a in enumerate(A._data):
+                row = zero.copy()
+                row[off : off + m] = a
+                for at, v in col:
+                    row[at + i] = (row[at + i] - v) % p
                 data.append(row)
     return PrimeFieldMatrix._packed(m * n, p, data)
 

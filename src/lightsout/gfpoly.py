@@ -368,22 +368,12 @@ def shift_one(f: Poly) -> Poly:
 
 
 def prod(factors: Iterable[Poly], p: int) -> Poly:
-    """Product of polynomials over GF(p) (empty product is 1).
+    """Product of polynomials over GF(p) (empty product is 1), by ``Poly`` arithmetic.
 
-    Over GF(2) the product runs on packed ints, skips the unit factors
-    (most of an invariant factor list) and builds one Poly.
+    Raises TypeError for a factor that is not a Poly and ValueError for one
+    over another field.
     """
-    if p != 2:
-        return reduce(lambda a, b: a * b, factors, Poly.one(p))
-    acc = 1
-    for f in factors:
-        if not isinstance(f, Poly):
-            raise TypeError(f"cannot multiply Poly by {type(f).__name__}")
-        if f.p != 2:  # packing would silently read a GF(3) coefficient 2 as 0
-            raise ValueError(f"field mismatch: GF(2) vs GF({f.p})")
-        if f.coeffs != (1,):
-            acc = _mul2(acc, _pack_bits(f.coeffs))
-    return Poly(_unpack_bits(acc, acc.bit_length()), 2)
+    return reduce(operator.mul, factors, Poly.one(p))
 
 
 class Factorization(NamedTuple):

@@ -117,19 +117,13 @@ class FactorData:
 def char_matrix(A: PrimeFieldMatrix) -> list[list[Poly]]:
     """The rows of the characteristic matrix xI - A over GF(p)[x].
 
-    The reference route of the tests: ``invariant_factors`` never builds
-    it.  Entries are shared: one Poly per distinct off-diagonal value -c and
-    one per distinct diagonal value x - c (Poly is immutable).
+    The reference route of the tests: ``invariant_factors`` never builds it.
     """
     if not A.is_square:
         raise ValueError("characteristic matrix requires a square matrix")
-    p = A.p
-    rows = A.to_lists()
-    const = {c: Poly((-c,), p) for c in {c for row in rows for c in row}}
-    diag = {c: Poly((-c, 1), p) for c in {row[i] for i, row in enumerate(rows)}}
     return [
-        [diag[c] if i == j else const[c] for j, c in enumerate(row)]
-        for i, row in enumerate(rows)
+        [Poly((-c, int(i == j)), A.p) for j, c in enumerate(row)]
+        for i, row in enumerate(A.to_lists())
     ]
 
 

@@ -650,8 +650,15 @@ class TestSpreadColumns:
 
 class TestSylvesterOperator:
     def test_matches_kronecker_formula(self):
+        def check(A, B):
+            m, n, p = A.rows, B.rows, A.p
+            via_kron = gfmat.kronecker(
+                PrimeFieldMatrix.identity(n, p), A
+            ) - gfmat.kronecker(B.transpose(), PrimeFieldMatrix.identity(m, p))
+            assert gfmat.sylvester_operator(A, B) == via_kron
+
         rng = random.Random(47)
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7):
             # Random B is not symmetric; shapes include m != n and empty factors.
             shapes = [(0, 0), (0, 3), (3, 0), (2, 5)]
             shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(15)]
@@ -660,12 +667,14 @@ class TestSylvesterOperator:
                 shapes += [(20, 20), (1, 40), (40, 1), (3, 24)]
             for m, n in shapes:
                 A = PrimeFieldMatrix(random_modp_matrix(m, m, p, rng), p)
-                B = PrimeFieldMatrix(random_modp_matrix(n, n, p, rng), p)
-                direct = gfmat.sylvester_operator(A, B)
-                via_kron = gfmat.kronecker(
-                    PrimeFieldMatrix.identity(n, p), A
-                ) - gfmat.kronecker(B.transpose(), PrimeFieldMatrix.identity(m, p))
-                assert direct == via_kron
+                check(A, PrimeFieldMatrix(random_modp_matrix(n, n, p, rng), p))
+            if p > 2:  # B's middle column all zero: block n // 2 subtracts nothing
+                for m, n in ((4, 5), (3, 1)):
+                    rows = random_modp_matrix(n, n, p, rng)
+                    for row in rows:
+                        row[n // 2] = 0
+                    A = PrimeFieldMatrix(random_modp_matrix(m, m, p, rng), p)
+                    check(A, PrimeFieldMatrix(rows, p))
 
     def test_vectorization_convention(self):
         # Column-stacked: acting on vec(X) must equal vec(AX - XB).
