@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from lightsout import gfmat
 from lightsout.gfmat import PrimeFieldMatrix
+from lightsout.gfpoly import Frozen
 
 
 MODES = ("open", "closed")
@@ -36,10 +37,10 @@ class GraphParseError(ValueError):
     """Malformed graph file or family spec; message carries line/column."""
 
 
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph; edges are (u, v) tuples with u < v, 0-based.
 
-    Immutable, compared and hashed by its fields: a factor summary's memo key.
+    Compared and hashed by its fields: a factor summary's memo key.
     """
 
     __slots__ = ("vertex_count", "edges")
@@ -54,9 +55,7 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
+    # direct field reads, not Frozen's generic ones: the factor memo hashes a graph per product row
     def __eq__(self, other) -> bool:
         if type(other) is not Graph:
             return NotImplemented
@@ -64,9 +63,6 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -255,8 +251,8 @@ def switching_matrix(g: Graph, mode: str = "open", p: int = 2) -> PrimeFieldMatr
     return PrimeFieldMatrix.from_bits(_switching_bits(g, mode), g.vertex_count, p)
 
 
-class LightsInstance:
-    """A graph, a switching mode, and an initial on/off configuration; immutable."""
+class LightsInstance(Frozen):
+    """A graph, a switching mode, and an initial on/off configuration."""
 
     __slots__ = ("graph", "mode", "config")
 
@@ -268,25 +264,7 @@ class LightsInstance:
             )
         if any(b not in (0, 1) for b in config):
             raise ValueError("configuration entries must be 0 or 1")
-        for name, value in zip(self.__slots__, (graph, mode, config)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LightsInstance is immutable")
-
-    def _fields(self) -> tuple:
-        return self.graph, self.mode, self.config
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not LightsInstance:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "LightsInstance(graph={!r}, mode={!r}, config={!r})".format(*self._fields())
+        self._fill(graph, mode, config)
 
 
 class PressSolution(NamedTuple):

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from lightsout import _gf2kernel
-from lightsout.gfpoly import Poly, _pack_bits, _unpack_bits, check_prime
+from lightsout.gfpoly import Frozen, Poly, _pack_bits, _unpack_bits, check_prime
 
 
 class RankProfile(NamedTuple):
@@ -46,10 +46,11 @@ class RankProfile(NamedTuple):
     pivot_columns: tuple[int, ...]
 
 
-class PrimeFieldMatrix:
+class PrimeFieldMatrix(Frozen):
     """Dense matrix of residues mod a prime p."""
 
     __slots__ = ("rows", "cols", "p", "_data")
+    __hash__ = None
 
     def __init__(self, entries: Sequence[Sequence[int]], p: int):
         check_prime(p)
@@ -57,19 +58,13 @@ class PrimeFieldMatrix:
         cols = len(mat[0]) if mat else 0
         if any(len(row) != cols for row in mat):
             raise ValueError("all rows must have the same length")
-        built = self._of_rows(mat, cols, p)
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(built, name))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldMatrix is immutable")
+        self._fill(*self._of_rows(mat, cols, p)._values())
 
     @classmethod
     def _packed(cls, cols: int, p: int, data: list) -> "PrimeFieldMatrix":
         """The matrix with ``data`` as its stored rows: ints at p = 2, residue lists otherwise."""
         m = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (len(data), cols, p, data)):
-            object.__setattr__(m, name, value)
+        m._fill(len(data), cols, p, data)
         return m
 
     @classmethod
@@ -119,16 +114,6 @@ class PrimeFieldMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrimeFieldMatrix):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
 
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix({self.rows}x{self.cols} over GF({self.p}))"

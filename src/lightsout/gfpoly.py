@@ -20,6 +20,11 @@ TypeError and a different p raises ValueError.  :func:`factor` takes degree
 <= MAX_FACTOR_DEGREE, finds linear factors by evaluation at every field
 element, and sieves at most 2**12 candidates per degree >= 2, so at large p
 it raises ValueError instead of running for hours.
+
+:class:`Frozen` is the one guard of the package's immutable records (``Poly``
+here, ``Graph``, ``LightsInstance``, ``PrimeFieldMatrix``, ``SnfResult`` and
+``FactorData``): it refuses assignment and deletion, and compares, hashes and
+prints a record by its slots.
 """
 
 from __future__ import annotations
@@ -63,8 +68,42 @@ def check_prime(p: int) -> int:
     return p
 
 
-class Poly:
-    """Immutable univariate polynomial over GF(p)."""
+class Frozen:
+    """Base of an immutable record: ``==``, ``hash`` and ``repr`` by its slots, in order.
+
+    A record of another type compares unequal.  ``=`` and ``del`` on a field
+    raise AttributeError; constructors set the slots with :meth:`_fill`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Poly(Frozen):
+    """Univariate polynomial over GF(p)."""
 
     __slots__ = ("coeffs", "p")
 
@@ -75,9 +114,6 @@ class Poly:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -132,14 +168,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.p))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -22,10 +22,10 @@ from functools import reduce
 from typing import Sequence
 
 from lightsout.gfmat import PrimeFieldMatrix, krylov_relations
-from lightsout.gfpoly import Factorization, Poly, check_prime, factor, poly_key, poly_ops
+from lightsout.gfpoly import Factorization, Frozen, Poly, check_prime, factor, poly_key, poly_ops
 
 
-class SnfResult:
+class SnfResult(Frozen):
     """Ordered invariant factors of a polynomial matrix: s_i divides s_{i+1}.
 
     ``field`` is p (None with no factors), ``ones`` counts the unit factors
@@ -34,7 +34,7 @@ class SnfResult:
     Poly ``invariant_factors`` on first read (``len`` reads none); one built
     from Poly keeps them, and raises as ``smith_normal_form`` does for an
     entry that is not a Poly or for entries over different fields.
-    Immutable; ``==``, ``hash`` and ``repr`` read the Poly factors only.
+    ``==``, ``hash`` and ``repr`` read the Poly factors only.
     """
 
     __slots__ = ("field", "ones", "factors", "_polys")
@@ -50,10 +50,6 @@ class SnfResult:
         s._fill(field, ones, factors, None if field else ())
         return s
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     @property
     def invariant_factors(self) -> tuple[Poly, ...]:
         if self._polys is None:  # a result of the Smith form, read the first time
@@ -61,9 +57,6 @@ class SnfResult:
             polys = (ops.to_poly(ops.one),) * self.ones + tuple(map(ops.to_poly, self.factors))
             object.__setattr__(self, "_polys", polys)
         return self._polys
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SnfResult is immutable")
 
     def __eq__(self, other) -> bool:
         if type(other) is not SnfResult:
@@ -87,7 +80,7 @@ class SnfResult:
         return ", ".join(str(f) for f in self.invariant_factors)
 
 
-class FactorData:
+class FactorData(Frozen):
     """Per-matrix map {irreducible monic poly -> exponents across invariant factors}.
 
     Exponent lists omit zeros and are nondecreasing along the divisibility
@@ -96,17 +89,10 @@ class FactorData:
     """
 
     __slots__ = ("exponents",)
+    __hash__ = None
 
     def __init__(self, exponents: dict[Poly, tuple[int, ...]]):
-        self.exponents = exponents
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not FactorData:
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __repr__(self) -> str:
-        return f"FactorData(exponents={self.exponents!r})"
+        self._fill(exponents)
 
     def __str__(self) -> str:
         return "; ".join(

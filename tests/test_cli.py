@@ -114,6 +114,19 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: grid:MxN needs M, N >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["counts", "--g", "path:0"], 2, "", "error: path:n needs n >= 1\n"),
+            (["snf", "--g", "star:0"], 2, "", "error: star:n needs n >= 1\n"),
+            (["snf", "--g", "complete:0"], 2, "", "error: complete:n needs n >= 1\n"),
+            (["sweep", "stars:4-4"], 0, "(no results)\n", ""),
+        ],
+    )
+    def test_empty_graphs_and_sweeps(self, argv, code, out, err, capsys):
+        assert cli.run(argv)[0] == code
+        assert capsys.readouterr() == (out, err)
+
     def test_negative_max_oracle_is_usage_error(self, capsys):
         argv = ["nullity", "--g", "path:3", "--h", "path:3", "--max-oracle"]
         assert cli.run(argv + ["-5"]) == (2, None)

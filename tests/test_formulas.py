@@ -373,3 +373,17 @@ class TestFormulaOracleAgreement:
             assert gcd_lower_bound(ca, cb, "open") <= oracle_nullity(A, B)
             closed_first = A + PrimeFieldMatrix.identity(A.rows, p)
             assert gcd_lower_bound(ca, cb, "closed") <= oracle_nullity(closed_first, B)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: formulas.path_adjacency(0), "at least one vertex"),
+        (lambda: gcd_lower_bound(P("x"), P("x", 3)), "field mismatch"),
+        (lambda: oracle_nullity(PrimeFieldMatrix([[1, 0]], 2), PrimeFieldMatrix([[1]], 2)), "square"),
+    ],
+    ids=["empty-path", "bound-fields", "oracle-shape"],
+)
+def test_bad_inputs_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -360,6 +360,8 @@ class TestSylvesterSolve:
             sylvester_solve(A, A, PrimeFieldMatrix.zeros(3, 2, 2))
         with pytest.raises(ValueError):
             sylvester_solve(A, PrimeFieldMatrix([[0]], 3), PrimeFieldMatrix.zeros(2, 1, 2))
+        with pytest.raises(ValueError, match="square"):
+            sylvester_solve(PrimeFieldMatrix([[1, 0]], 2), A, PrimeFieldMatrix.zeros(1, 2, 2))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_solution_has_the_problem_shape_when_a_side_is_empty(self, p):

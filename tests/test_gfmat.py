@@ -815,3 +815,20 @@ class TestRankProfile:
         assert profile != gfmat.RankProfile(2, 1, (0, 2))
         with pytest.raises(AttributeError):
             profile.rank = 3
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: P2[2, 0], IndexError, "outside 2x2"),
+        (lambda: P2 @ PrimeFieldMatrix([[0, 1], [1, 0]], 3), ValueError, "field mismatch"),
+        (lambda: P2.mul_vec((1, 0, 1)), ValueError, "vector of length 3"),
+        (lambda: gfmat.inverse(PrimeFieldMatrix([[1, 0]], 2)), ValueError, "square"),
+        (lambda: gfmat.kronecker(P2, PrimeFieldMatrix([[1]], 3)), ValueError, "field mismatch"),
+        (lambda: gfmat.sylvester_operator(P2, PrimeFieldMatrix([[1, 0]], 2)), ValueError, "square"),
+    ],
+    ids=["index", "matmul-fields", "mul-vec-length", "inverse-shape", "kronecker-fields", "operator-shape"],
+)
+def test_bad_inputs_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from helpers import all_monic_polys
-from lightsout import gfpoly
+from lightsout import game, gfpoly, snf
+from lightsout.gfmat import PrimeFieldMatrix
 from lightsout.gfpoly import (
     MAX_FACTOR_DEGREE,
     Factorization,
@@ -448,3 +449,76 @@ class TestFactorization:
         assert str(d) == "(x)^2 * (x + 1)"
         with pytest.raises(AttributeError):
             d.unit = 2
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: P("x") ** -1, ValueError),
+        (lambda: divmod(P("x"), 1), TypeError),
+        (lambda: str(Factorization(2, (), 3)), "2"),
+        (lambda: monic_irreducibles(2, 0), ValueError),
+    ],
+    ids=["negative-power", "divmod-by-int", "unit-only-factorization", "irreducibles-of-degree-0"],
+)
+def test_edge_inputs(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
+
+
+#: One builder per immutable record kind; two calls build equal records.
+RECORDS = {
+    "Graph": lambda: game.build_family("path:3"),
+    "LightsInstance": lambda: game.LightsInstance(game.path_graph(3), "open", (1, 0, 1)),
+    "PrimeFieldMatrix-p2": lambda: PrimeFieldMatrix([[1, 0], [1, 1]], 2),
+    "PrimeFieldMatrix-p3": lambda: PrimeFieldMatrix([[1, 2], [0, 1]], 3),
+    "Poly": lambda: P("2*x^2 + 1", 3),
+    "SnfResult-smith": lambda: snf.invariant_factors(game.switching_matrix(game.star_graph(3))),
+    "SnfResult-poly": lambda: snf.SnfResult((Poly.one(2), P("x"))),
+    "FactorData": lambda: snf.factor_data(
+        snf.invariant_factors(game.switching_matrix(game.star_graph(5)))
+    ),
+}
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("build", list(RECORDS.values()), ids=list(RECORDS))
+    def test_records_refuse_assignment_and_deletion(self, build):
+        record = build()
+        message = f"^{type(record).__name__} is immutable$"
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError, match=message):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=message):
+                delattr(record, name)
+        assert record == build()
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("Graph", "Graph(vertex_count=3, edges=frozenset({(0, 1), (1, 2)}))"),
+            (
+                "LightsInstance",
+                "LightsInstance(graph=Graph(vertex_count=3, edges=frozenset({(0, 1), (1, 2)})),"
+                " mode='open', config=(1, 0, 1))",
+            ),
+            ("FactorData", "FactorData(exponents={Poly(x, p=2): (1, 1, 3)})"),
+        ],
+    )
+    def test_repr_names_each_field(self, kind, text):
+        assert repr(RECORDS[kind]()) == text
+
+    def test_hash_is_the_hash_of_the_fields_or_refused(self):
+        f, g = RECORDS["Poly"](), RECORDS["Graph"]()
+        assert hash(f) == hash((f.coeffs, f.p))
+        assert hash(g) == hash((g.vertex_count, g.edges))
+        for kind in ("PrimeFieldMatrix-p2", "PrimeFieldMatrix-p3", "FactorData"):
+            with pytest.raises(TypeError):
+                hash(RECORDS[kind]())
+
+    def test_records_of_different_kinds_compare_unequal(self):
+        assert P("x", 2) != snf.SnfResult((P("x", 2),))
+        assert RECORDS["Graph"]() != RECORDS["LightsInstance"]()
