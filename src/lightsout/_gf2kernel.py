@@ -19,14 +19,14 @@ Every step stops at a tail bound ``hi``, the textbook banded-elimination
 saving (Golub and Van Loan, *Matrix Computations*, section 4.3).  The
 switching matrix of a grid and the Sylvester operator of a product of paths
 and cycles are banded: row i has no bit left of column i - (block size).
-The floor of row i is the least leading column of rows i.., taken once from
-the bottom up.  Rows from ``hi`` on are still as given and have no bit left
-of the floor at ``hi``.  Before a step that ends at column e, ``hi`` moves
-down past the rows whose floor is below e.  The rows it leaves behind have
-no bit in the step's columns, so column-at-a-time elimination would not
-touch them either: a step scans, fixes and counts rows r..hi (0..hi when
-reduced), not r..m.  On a dense operator ``hi`` reaches m within a few rows
-of the bottom.
+The floors are one non-decreasing list of m + 1 entries, built once:
+``floors[i]`` is the least leading column of rows i.. of the input (a zero
+row leads at ncols, and ``floors[m]`` = ncols).  A step that ends at column e
+bisects it, ``hi = bisect_left(floors, e)``.  Rows from ``hi`` on are still
+as given and have no bit in the step's columns, so column-at-a-time
+elimination would not touch them either: a step scans, fixes and counts rows
+r..hi (0..hi when reduced), not r..m.  On a dense operator ``hi`` is m or
+within a few rows of it.
 
 Every step is a stripe of ``STRIPE`` = 8 columns (the last may be narrower)
 with one table of 2^8 entries.  Of the benchmark workloads, only
@@ -51,6 +51,8 @@ puts the smaller factor second, in Hessenberg form; 2 x 2048 vertices take 1.4 t
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 STRIPE = 8
@@ -73,20 +75,14 @@ def echelon_bits(
     Returns (rows, pivot_columns).
     """
     out = list(rows)
-    m = len(out)
     pivots: list[int] = []
-    # Rows from hi on are still as given and have no bit left of
-    # floors[hi - base]: a step that ends there never reaches them.
-    hi, floors = _tail_floors(out, ncols)
-    base = hi
+    # floors[i] is the least leading column of rows i..; see the module notes.
+    leads = [(row & -row).bit_length() - 1 if row else ncols for row in reversed(out)]
+    floors = list(accumulate(leads, min, initial=ncols))[::-1]
     r = 0
     for c in range(0, ncols, STRIPE):
-        if r == m:
-            break
         end = min(c + STRIPE, ncols)
-        while floors[hi - base] < end:
-            hi += 1
-        r = _stripe(out, r, c, end, hi, reduced, pivots)
+        r = _stripe(out, r, c, end, bisect_left(floors, end), reduced, pivots)
     return out, pivots
 
 
@@ -101,29 +97,6 @@ def rank_bits(rows: Sequence[int], ncols: int) -> int:
             row ^= b
         basis[t] = row
     return ncols + 1 - basis.count(0)
-
-
-def _tail_floors(rows: list[int], ncols: int) -> tuple[int, list[int]]:
-    """(base, floors): floors[k] is the least leading column of rows base + k..
-
-    A zero row leads at ncols, and floors[-1] = ncols belongs to the
-    position past the last row.  Floors are taken from the bottom up while
-    they stay past column 0: the first step reaches every row above base,
-    so no later step needs their floors.
-    """
-    floor = ncols
-    floors = [floor]
-    base = len(rows)
-    while base:
-        row = rows[base - 1]
-        if row:
-            floor = min(floor, (row & -row).bit_length() - 1)
-            if floor == 0:
-                break
-        floors.append(floor)
-        base -= 1
-    floors.reverse()
-    return base, floors
 
 
 def _stripe(

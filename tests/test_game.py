@@ -1,5 +1,6 @@
 """Graph construction, Cartesian products, and Lights Out! semantics."""
 
+import math
 import random
 import tracemalloc
 from itertools import product
@@ -324,6 +325,25 @@ class TestCountExponents:
             r, nu = count_exponents(g, mode)
             assert len(reachable) == 2**r
             assert 2**r * 2**nu == 2**n
+
+    def test_paths_stars_and_open_grids_match_closed_forms(self):
+        # Closed forms for nu, a route that shares nothing with elimination;
+        # open grids: nu(P_m x P_n) = gcd(m + 1, n + 1) - 1 (Sutner, TCS 230, 2000).
+        def forms(n):
+            yield game.path_graph(n), "open", n % 2
+            yield game.path_graph(n), "closed", int(n % 3 == 2)
+            yield game.star_graph(n), "closed", int(n % 2 == 0)
+            if n >= 2:
+                yield game.star_graph(n), "open", n - 2
+
+        cases = [case for n in [*range(1, 131), 255, 256, 257] for case in forms(n)]
+        cases += [
+            (build_family(f"grid:{m}x{n}"), "open", math.gcd(m + 1, n + 1) - 1)
+            for n in range(1, 25)
+            for m in range(1, n + 1)
+        ]
+        for g, mode, nu in cases:
+            assert count_exponents(g, mode) == (g.vertex_count - nu, nu), (g, mode)
 
 
 class TestSylvesterSolve:
