@@ -9,8 +9,9 @@ the elimination oracle, the Berkowitz expansion for charpoly, or for a
 product solve a check by substitution on a build of the operator) and, on
 product rows, ``bound_holds`` (gcd bound).  ``solve`` reads its press set and
 nullity off one ``gfmat.solve_system`` elimination of the switching matrix
-on one graph; on a product, ``gfmat.solve_sylvester`` gives the same answer,
-and a certificate when unsolvable, by a light chase along one factor.  One
+on one graph; on a product, ``gfmat.solve_sylvester`` gives the same
+solvability and nullity, a press set checked by substitution, and a
+certificate when unsolvable, by a light chase along one factor.  One
 step in ``run`` then copies each row that reads ``mismatch`` or ``violated``
 into the violations, adds one note counting the rows with a cell skipped
 over the oracle cap, and exits 1 exactly when the violations are non-empty.

@@ -494,7 +494,8 @@ def _transpose_bits(v: int, rows: int, cols: int) -> int:
 
 def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
     """``solve_system(sylvester_operator(A, B), b)`` for symmetric A and B over GF(2):
-    the same x and nullity and, without an x, a null vector y of L with y . b = 1.
+    the same solvability and nullity, an x with L x = b (not always the
+    elimination's) and, without an x, a null vector y of L with y . b = 1.
     Raises ValueError otherwise.
 
     Light chasing (Anderson and Feil, Math. Mag. 71, 1998; Sutner, TCS 230, 2000)
@@ -502,8 +503,9 @@ def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
     fewer rows.  Y = X K^T has columns y_(i,t) = X B^t v_i^T, and AX + XB = C gives
     y_(i,t+1) = c_(i,t) + A y_(i,t), c = C K^T, so z_i = y_(i,0) fixes block i and
     B's relations leave the km rows sum_j R_ij(A) z_j = e_i, e_i those sums over
-    the chase from z = 0.  In echelon form by highest bit the lifted kernel's top
-    bits are L's free columns, and clearing x there gives the elimination's x.
+    the chase from z = 0.  Lifting is linear and injective, so the free columns of
+    those rows count L's nullity; x lifts one of their solutions, and only a
+    certificate lifts kernel vectors, one free column at a time.
     """
     if A.p != 2 or B.p != 2 or any(_spread_columns(M._data, M.cols, 1) != M._data for M in (A, B)):
         raise ValueError("light chasing needs symmetric A and B over GF(2)")
@@ -554,18 +556,10 @@ def solve_sylvester(A: PrimeFieldMatrix, B: PrimeFieldMatrix, b: Sequence[int]):
             row = sum((v >> (r * m) & mask) << (j * m) for j, v in enumerate(values))
             aug.append(row | (e >> r & 1) << km)
     echelon, pivot_columns = _echelon(aug, km + 1, 2, reduced=False)
-    taken = set(pivot_columns)
-    nulls = [_null_bits(echelon, pivot_columns, f) for f in range(km + 1) if f not in taken]
-    top: dict = {}  # highest bit -> L's null vector
-    for v in (lift(z, [0] * n) for z in nulls if not z >> km):
-        while (f := v.bit_length() - 1) in top:
-            v ^= top[f]
-        top[f] = v
-    if km in taken:
-        y = next((v for v in top.values() if (v & bits).bit_count() & 1), None)
-        return None, len(top), None if y is None else _unpack_bits(y, m * n)
-    x = lift(nulls[-1] ^ 1 << km, c)
-    for f in sorted(top, reverse=True):
-        if x >> f & 1:
-            x ^= top[f]
-    return _unpack_bits(x, m * n), len(top), None
+    free = sorted(set(range(km)).difference(pivot_columns))
+    if km in pivot_columns:
+        nulls = (lift(_null_bits(echelon, pivot_columns, f), [0] * n) for f in free)
+        y = next((v for v in nulls if (v & bits).bit_count() & 1), None)
+        return None, len(free), None if y is None else _unpack_bits(y, m * n)
+    x = lift(_null_bits(echelon, pivot_columns, km) ^ 1 << km, c)
+    return _unpack_bits(x, m * n), len(free), None

@@ -34,6 +34,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import product
+from math import isqrt
 from typing import Iterable, NamedTuple
 
 #: Largest degree accepted by :func:`factor`.  Trial division against the
@@ -58,14 +59,15 @@ def check_prime(p: int) -> int:
         raise ValueError(f"field modulus {p} out of supported range (< 2^16)")
     if p == 2:
         return p
-    if p % 2 == 0:
+    if not _is_prime(p):
         raise ValueError(f"field modulus {p} is not prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"field modulus {p} is not prime")
-        d += 2
     return p
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    """Trial division, once per p: ``Poly`` checks its modulus on every construction."""
+    return p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
 class Frozen:

@@ -165,29 +165,20 @@ def echelon_modp_by_columns(rows, ncols, p, reduced=True):
 
 
 def product_solve_two_eliminations(A: PrimeFieldMatrix, B: PrimeFieldMatrix):
-    """(solvable, presses, solution_exponent) of the all-on product game over GF(2).
+    """(solvable, solution_exponent) of the all-on product game over GF(2).
 
-    The route ``solve --g --h`` took before it read all three off one
-    elimination: the nullity from the elimination oracle, and X from a
-    second, column-at-a-time forward elimination of [L | vec C], as its null
-    vector at the last column (free variables 0).  The cells are the CLI
-    row's: presses are X's rows joined by "/", entry (i, j) at index j*m + i.
+    The route ``solve --g --h`` took before it read both off one
+    elimination: the nullity from the elimination oracle, and solvability
+    from a second, column-at-a-time forward elimination of [L | vec C]: a
+    pivot at the last column means no solution.
     """
     m, n = A.rows, B.rows
-    nu = formulas.oracle_nullity(A, B)
-    last = 1 << m * n
     L = gfmat.sylvester_operator(A, B)
-    rows, pivots = echelon_bits_by_columns([row | last for row in L._data], m * n + 1, False)
+    last = 1 << m * n
+    _, pivots = echelon_bits_by_columns([row | last for row in L._data], m * n + 1, False)
     if pivots and pivots[-1] == m * n:
-        return "no", "-", "-"
-    xbits = last
-    for c, row in reversed(list(zip(pivots, rows))):
-        if (row & xbits).bit_count() & 1:
-            xbits |= 1 << c
-    presses = "/".join(
-        "".join(str(xbits >> (j * m + i) & 1) for j in range(n)) for i in range(m)
-    )
-    return "yes", presses, nu
+        return "no", "-"
+    return "yes", formulas.oracle_nullity(A, B)
 
 
 def euclid_gcd(a: Poly, b: Poly) -> Poly:

@@ -724,13 +724,15 @@ class TestSolveSylvester:
 
     @staticmethod
     def check(A, B, b) -> bool:
-        """Assert the chase's answer is the elimination's; True when unsolvable."""
+        """Assert the chase's answer is valid and as solvable as the elimination's,
+        with its nullity; True when unsolvable."""
         L = gfmat.sylvester_operator(A, B)
         x, nullity, y = gfmat.solve_sylvester(A, B, b)
         want_x, want_nullity, _ = gfmat.solve_system(L, b)
-        assert (x, nullity) == (want_x, want_nullity)
+        assert (x is None, nullity) == (want_x is None, want_nullity)
         if x is not None:
             assert y is None
+            assert L.mul_vec(x) == tuple(v % 2 for v in b)
             return False
         assert not any(L.mul_vec(y)) and sum(a * v for a, v in zip(y, b)) % 2 == 1
         return True
@@ -792,6 +794,34 @@ class TestSolveSylvester:
                 gfmat.solve_sylvester(A, B, (1,) * (m * n))
                 assert sizes == [ka * n if route == "A" else kb * m], (m, n)
         assert routes == {"A", "B"} and unsolvable
+
+    def test_a_solvable_chase_lifts_one_vector_and_a_certificate_at_most_nullity(
+        self, monkeypatch
+    ):
+        calls = []
+        null_bits = gfmat._null_bits
+
+        def counted(*args):
+            calls.append(args[-1])
+            return null_bits(*args)
+
+        monkeypatch.setattr(gfmat, "_null_bits", counted)
+        for g, h, mode, nullity in (
+            ("path:4", "path:4", "open", 4),
+            ("grid:3x3", "path:5", "closed", 9),
+        ):
+            A = game.switching_matrix(game.build_family(g), mode)
+            B = game.switching_matrix(game.build_family(h), "open")
+            calls.clear()
+            x, got, y = gfmat.solve_sylvester(A, B, (1,) * (A.rows * B.rows))
+            assert (got, y, len(calls)) == (nullity, None, 1)
+            assert x is not None
+        A = game.switching_matrix(game.build_family("path:5"), "open")
+        calls.clear()
+        x, nullity, y = gfmat.solve_sylvester(A, A, (1,) * 25)
+        assert x is None and 1 <= len(calls) <= nullity
+        L = gfmat.sylvester_operator(A, A)
+        assert not any(L.mul_vec(y)) and sum(y) % 2 == 1
 
     def test_rejects_odd_p_asymmetric_factors_and_a_wrong_length(self):
         for p in (3, 5):

@@ -63,6 +63,13 @@ class TestPolyBasics:
         for good in (2, 3, 5, 7, 65521):
             assert check_prime(good) == good
 
+    def test_a_cached_verdict_changes_no_other_call(self):
+        assert check_prime(3) == 3
+        for bad in (3.0, True, 4, 9):
+            with pytest.raises(ValueError):
+                check_prime(bad)
+        assert check_prime(3) == 3
+
     def test_int_operands_rejected(self):
         f = P("x + 1")
         for combine in (
